@@ -21,6 +21,8 @@
 //! live runtime can ship across its node threads, not borrows of a
 //! running cluster.
 
+use std::collections::HashMap;
+
 use tpc_common::{AckMode, DamageReport, NodeId, Outcome, ProtocolKind, TxnId, Vote};
 
 use crate::engine::{EngineConfig, TmEngine};
@@ -83,8 +85,15 @@ impl NodeProtocolState {
         }
     }
 
-    fn completed_seat(&self, txn: TxnId) -> Option<&Seat> {
-        self.completed.iter().find(|s| s.txn == txn)
+    /// Index of the completed seats by transaction, built once per
+    /// [`check`] call so each outcome costs one lookup per node. The first
+    /// seat of a transaction wins, as a front-to-back scan would find it.
+    fn completed_index(&self) -> HashMap<TxnId, &Seat> {
+        let mut index = HashMap::with_capacity(self.completed.len());
+        for seat in &self.completed {
+            index.entry(seat.txn).or_insert(seat);
+        }
+        index
     }
 }
 
@@ -115,9 +124,13 @@ pub fn check(
 
     // Outcome agreement per completed transaction.
     let damage_must_reach_root = must_report_damage(nodes);
+    let completed: Vec<_> = nodes
+        .iter()
+        .map(NodeProtocolState::completed_index)
+        .collect();
     for result in outcomes {
-        for state in nodes {
-            let Some(seat) = state.completed_seat(result.txn) else {
+        for (state, index) in nodes.iter().zip(&completed) {
+            let Some(&seat) = index.get(&result.txn) else {
                 continue;
             };
             if seat.sent_vote == Some(Vote::ReadOnly) {
@@ -229,6 +242,36 @@ mod tests {
         b.completed.push(completed_seat(Some(Outcome::Abort)));
         let (violations, _) = check(&[a, b], &[outcome(Outcome::Commit)]);
         assert_eq!(violations.len(), 1);
+        assert!(violations[0].contains("finished ABORT"));
+    }
+
+    #[test]
+    fn one_mismatch_among_many_seats_is_still_reported() {
+        let n = 5_000u64;
+        let bad = TxnId::new(NodeId(0), n / 2);
+        let mut a = state(0, ProtocolKind::PresumedAbort);
+        let mut b = state(1, ProtocolKind::PresumedAbort);
+        let mut outcomes = Vec::new();
+        for seq in 0..n {
+            let t = TxnId::new(NodeId(0), seq);
+            let mut seat = completed_seat(Some(Outcome::Commit));
+            seat.txn = t;
+            a.completed.push(seat.clone());
+            if t == bad {
+                seat.outcome = Some(Outcome::Abort);
+            }
+            b.completed.push(seat);
+            outcomes.push(OutcomeRecord {
+                txn: t,
+                ..outcome(Outcome::Commit)
+            });
+        }
+        let (violations, _) = check(&[a, b], &outcomes);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(
+            violations[0].starts_with(&bad.to_string()),
+            "{violations:?}"
+        );
         assert!(violations[0].contains("finished ABORT"));
     }
 

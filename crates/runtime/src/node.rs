@@ -2110,6 +2110,7 @@ impl<T: Transport> NodeWorker<T> {
             if let Some(dl) = self.ack_deadline {
                 timeout = timeout.min(dl.saturating_duration_since(Instant::now()));
             }
+            timeout = self.lock_sweep_wait(timeout);
             let mut progressed = true;
             match self.rx.recv_timeout(timeout) {
                 Ok(Inbound::Frame { from, bytes }) => {
@@ -2208,6 +2209,24 @@ impl<T: Transport> NodeWorker<T> {
                 self.host.rm.lock_waiter_depth() as u64,
                 now,
             );
+        }
+    }
+
+    /// Caps lane 0's receive `timeout` at its next lock-wait sweep while
+    /// the node has lock waiters, so an idle lane does not sit on a due
+    /// sweep until some protocol timer fires. Waiters are counted only
+    /// when the lane is about to block past the sweep.
+    fn lock_sweep_wait(&self, timeout: Duration) -> Duration {
+        if self.host.lanes <= 1 || self.host.lane != 0 {
+            return timeout;
+        }
+        let due = self
+            .next_lock_sweep
+            .saturating_duration_since(Instant::now());
+        if due < timeout && self.rx.is_empty() && self.host.rm.lock_waiter_depth() > 0 {
+            due
+        } else {
+            timeout
         }
     }
 
@@ -2651,6 +2670,7 @@ mod tests {
         /// lane, and the counters reconcile to parked = piggybacked +
         /// flushed once the lanes drain their leftovers — the shutdown
         /// path. No ack is ever duplicated or lost.
+        #[test]
         fn ack_slot_interleavings_conserve_acks(
             raw in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..=64)
         ) {

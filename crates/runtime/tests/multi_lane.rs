@@ -2,9 +2,9 @@
 //! under cross-lane conflicts, node-level summary rollup, and the
 //! open-loop generator's admission control against a real cluster.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tpc_common::{NodeId, Op, Outcome, ProtocolKind};
+use tpc_common::{NodeId, Op, Outcome, ProtocolKind, SimDuration};
 use tpc_runtime::{lane_of, LiveCluster, LiveNodeConfig, OpenLoopSpec};
 
 fn lanes_cluster(n: usize, lanes: usize, protocol: ProtocolKind) -> LiveCluster {
@@ -183,5 +183,51 @@ fn open_loop_saturation_degrades_into_bounded_queueing_and_rejections() {
         "every arrival accounted: {report:?}"
     );
     assert!(report.committed > 0, "the admitted fraction still commits");
+    c.shutdown();
+}
+
+#[test]
+fn lock_wait_sweep_wakes_an_idle_lane() {
+    // A stuck waiter on lane 0 of an otherwise idle root: its own commit
+    // has armed the 10 s vote-collection timer, and no traffic follows.
+    // The sweep alone must evict it once it has waited the lock-wait
+    // timeout, within one 100 ms sweep period.
+    let timeout = Duration::from_millis(300);
+    let cfg = LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+        .with_lanes(2)
+        .with_lock_wait_timeout(SimDuration(timeout.as_micros() as u64));
+    let c = LiveCluster::start(vec![cfg; 2]);
+    let holder = c.begin(NodeId(0));
+    let victim = c.begin(NodeId(0));
+    assert_eq!(lane_of(holder.id(), 2), 1);
+    assert_eq!(
+        lane_of(victim.id(), 2),
+        0,
+        "the waiter sits on the sweeping lane"
+    );
+    holder.work(NodeId(0), vec![Op::put("hot", "held")]);
+    // The holder's lock is taken before the victim asks for it.
+    std::thread::sleep(Duration::from_millis(50));
+    let started = Instant::now();
+    victim.work(NodeId(1), vec![Op::put("cold", "v")]);
+    victim.work(NodeId(0), vec![Op::put("hot", "v")]);
+    let outcome = victim
+        .commit_async()
+        .wait(Duration::from_secs(20))
+        .expect("root alive");
+    let elapsed = started.elapsed();
+    assert_eq!(outcome.outcome, Outcome::Abort, "the waiter is the victim");
+    // One sweep period past the timeout, plus headroom for thread
+    // scheduling on a loaded machine; without the wake-up the victim
+    // waits for the 10 s vote timer.
+    let bound = timeout + Duration::from_millis(100) + Duration::from_millis(400);
+    assert!(
+        elapsed < bound,
+        "victim aborted after {elapsed:?}, bound {bound:?}"
+    );
+    assert_eq!(
+        holder.commit().expect("root alive").outcome,
+        Outcome::Commit
+    );
     c.shutdown();
 }

@@ -114,6 +114,7 @@ proptest! {
     /// Presumed Abort over a random tree with a random subset of
     /// read-only and unsolicited-voting leaves: totals AND the per-node
     /// breakdown must match the closed forms.
+    #[test]
     fn pa_tree_mixed_leaves_match_closed_form(
         raw in prop::collection::vec((any::<u32>(), 0u8..3), 1..=7)
     ) {
@@ -164,6 +165,7 @@ proptest! {
     /// Every protocol family over random all-updating trees. Interior
     /// nodes are where the families genuinely differ: PN pays a forced
     /// commit-pending per coordinator seat, PC a forced Collecting.
+    #[test]
     fn protocol_families_tree_costs(
         raw in prop::collection::vec((any::<u32>(), 0u8..1), 1..=7)
     ) {
@@ -210,6 +212,7 @@ proptest! {
     /// reappears as the flushed implied ack), and — the paper's caveat —
     /// forced writes do NOT drop: the initiator's extra forced prepared
     /// record exactly cancels the delegate's saved one.
+    #[test]
     fn last_agent_star_preserves_write_totals(subs in 1usize..=6) {
         let mut sim = Sim::new(SimConfig::default());
         let root_cfg = NodeConfig::new(ProtocolKind::PresumedAbort)
@@ -243,6 +246,7 @@ proptest! {
     /// early-ack switched on everywhere, pays exactly the same flows and
     /// writes as without it — the optimization moves *when* the upstream
     /// ack happens, never how many frames or records exist.
+    #[test]
     fn early_ack_is_count_free_over_random_trees(
         raw in prop::collection::vec((any::<u32>(), 0u8..3), 1..=7)
     ) {
@@ -280,6 +284,7 @@ proptest! {
     /// Prepare flow — while the write totals stay exactly the paper's
     /// caveat: the initiator's extra forced Prepared* cancels the
     /// delegate's saved records, and nothing else moves.
+    #[test]
     fn last_agent_unsolicited_early_ack_combine_on_a_star(
         subs in 2usize..=6,
         mask in any::<u8>(),

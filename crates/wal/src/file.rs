@@ -12,7 +12,6 @@
 //! at the first short, zeroed or corrupt frame, treating everything before
 //! it as the durable prefix — the standard WAL torn-write discipline.
 
-use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -25,12 +24,12 @@ use crate::record::LogRecord;
 
 pub(crate) const HEADER_LEN: usize = 4 + 4 + 1;
 
-pub(crate) fn stream_to_byte(s: StreamId) -> [u8; 1] {
+fn stream_to_byte(s: StreamId) -> u8 {
     match s {
-        StreamId::Tm => [0xFF],
+        StreamId::Tm => 0xFF,
         StreamId::Rm(i) => {
             debug_assert!(i < 0xFF, "RM ids above 254 unsupported in file frames");
-            [i as u8]
+            i as u8
         }
     }
 }
@@ -74,6 +73,17 @@ impl TailState {
     pub fn is_corruption(&self) -> bool {
         matches!(self, TailState::CorruptionBeforeTail { .. })
     }
+
+    /// Classifies a scan that stopped at damage with `survivors` valid
+    /// frames after it.
+    pub(crate) fn after_damage(survivors: u32) -> Self {
+        match survivors {
+            0 => TailState::TornTail,
+            n => TailState::CorruptionBeforeTail {
+                valid_frames_after: n,
+            },
+        }
+    }
 }
 
 /// Result of a classified recovery scan: the durable prefix plus what the
@@ -84,22 +94,87 @@ pub struct ScanReport {
     pub records: Vec<(Lsn, StreamId, LogRecord)>,
     /// Classification of whatever ended the scan.
     pub tail: TailState,
+    /// Byte offset just past the last valid frame: where appends resume.
+    pub end: u64,
 }
 
-/// An append-only log file.
+/// The append path both durable backends share. Each record is encoded
+/// once, header included, into a buffer reused across appends and reaches
+/// the buffered file in one `write_all`; the counters every backend keeps
+/// live here too.
+pub(crate) struct FrameWriter {
+    file: BufWriter<File>,
+    /// The most recently encoded frame.
+    frame: Vec<u8>,
+    pub(crate) stats: LogStats,
+    /// Logically forced appends not yet covered by a physical sync.
+    pub(crate) pending_forces: u64,
+}
+
+impl FrameWriter {
+    pub(crate) fn new(file: File) -> Self {
+        FrameWriter {
+            file: BufWriter::new(file),
+            frame: Vec::new(),
+            stats: LogStats::default(),
+            pending_forces: 0,
+        }
+    }
+
+    /// Encodes `record` as one frame into the reused buffer; returns the
+    /// frame's length.
+    pub(crate) fn encode(&mut self, stream: StreamId, record: &LogRecord) -> u64 {
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 8]);
+        self.frame.push(stream_to_byte(stream));
+        record.encode_append(&mut self.frame);
+        let payload_len = (self.frame.len() - HEADER_LEN) as u32;
+        let crc = crc32(&self.frame[8..]);
+        self.frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        self.frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        self.frame.len() as u64
+    }
+
+    /// Writes the frame [`FrameWriter::encode`] produced and counts it;
+    /// the physical sync (if any) is the caller's. Returns the frame's
+    /// length.
+    pub(crate) fn write(&mut self, durability: Durability) -> Result<u64> {
+        self.file.write_all(&self.frame)?;
+        self.stats.writes += 1;
+        self.stats.bytes += (self.frame.len() - HEADER_LEN) as u64;
+        if durability.is_forced() {
+            self.stats.forced_writes += 1;
+            self.pending_forces += 1;
+        }
+        Ok(self.frame.len() as u64)
+    }
+
+    /// One physical flush: everything written so far reaches the device.
+    pub(crate) fn sync(&mut self) -> Result<()> {
+        self.stats.physical_flushes += 1;
+        self.file.flush()?;
+        self.file.get_ref().sync_data()?;
+        self.pending_forces = 0;
+        Ok(())
+    }
+
+    /// Continues on `file`. Bytes the old writer still buffers are
+    /// dropped, not flushed, which is what a crash does to them.
+    pub(crate) fn switch_file(&mut self, file: File) {
+        let old = std::mem::replace(&mut self.file, BufWriter::new(file));
+        drop(old.into_parts());
+    }
+}
+
+/// An append-only log file. It keeps no copy of its records in memory:
+/// reads go to the file.
 pub struct FileLog {
     path: PathBuf,
-    writer: BufWriter<File>,
+    out: FrameWriter,
     /// Byte offset of the next frame == LSN of the next record.
     next_offset: u64,
-    /// In-memory copy of appended records for `records()`; the durable
-    /// view re-reads the file.
-    cache: Vec<(Lsn, StreamId, LogRecord)>,
-    stats: LogStats,
     /// What `open` found at the end of the durable prefix.
     recovered_tail: TailState,
-    /// Logically forced appends not yet covered by a physical sync.
-    pending_forces: u64,
 }
 
 impl FileLog {
@@ -113,12 +188,9 @@ impl FileLog {
             .open(&path)?;
         Ok(FileLog {
             path,
-            writer: BufWriter::new(file),
+            out: FrameWriter::new(file),
             next_offset: 0,
-            cache: Vec::new(),
-            stats: LogStats::default(),
             recovered_tail: TailState::Clean,
-            pending_forces: 0,
         })
     }
 
@@ -130,22 +202,14 @@ impl FileLog {
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref().to_path_buf();
         let report = scan_classified(&path)?;
-        let recovered = report.records;
-        let next_offset = recovered
-            .last()
-            .map(|(lsn, _, rec)| lsn.0 + frame_len(rec) as u64)
-            .unwrap_or(0);
         let mut file = OpenOptions::new().write(true).open(&path)?;
-        file.set_len(next_offset)?; // drop the damaged tail
-        file.seek(SeekFrom::Start(next_offset))?;
+        file.set_len(report.end)?; // drop the damaged tail
+        file.seek(SeekFrom::Start(report.end))?;
         Ok(FileLog {
             path,
-            writer: BufWriter::new(file),
-            next_offset,
-            cache: recovered,
-            stats: LogStats::default(),
+            out: FrameWriter::new(file),
+            next_offset: report.end,
             recovered_tail: report.tail,
-            pending_forces: 0,
         })
     }
 
@@ -160,10 +224,6 @@ impl FileLog {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-pub(crate) fn frame_len(record: &LogRecord) -> usize {
-    HEADER_LEN + record.encode_to_bytes().len()
 }
 
 /// Tries to parse one frame at `off`; returns the record and the offset
@@ -207,41 +267,40 @@ pub fn scan_classified(path: impl AsRef<Path>) -> Result<ScanReport> {
         records.push((Lsn(off as u64), stream, rec));
         off = next;
     }
-    if off == raw.len() {
-        return Ok(ScanReport {
-            records,
-            tail: TailState::Clean,
-        });
-    }
-    // The scan stopped before end-of-file. A pure torn tail has nothing
-    // parseable after the stopping point; if any later offset yields a
-    // valid frame, the damage sits in front of data that was durable —
-    // corruption, not an ordinary crash artifact. The brute-force resync
-    // is O(file × frame) but recovery scans are rare and logs small.
-    let mut probe = off + 1;
+    let tail = if off == raw.len() {
+        TailState::Clean
+    } else {
+        TailState::after_damage(survivors_after(&raw, off))
+    };
+    Ok(ScanReport {
+        records,
+        tail,
+        end: off as u64,
+    })
+}
+
+/// Counts the valid frames that follow damage at `stop`. A pure torn tail
+/// has nothing parseable after the stopping point; if any later offset
+/// yields a valid frame, the damage sits in front of data that was
+/// durable. The brute-force resync is O(file × frame), but recovery scans
+/// are rare and logs small.
+pub(crate) fn survivors_after(raw: &[u8], stop: usize) -> u32 {
+    let mut probe = stop + 1;
     while probe + HEADER_LEN <= raw.len() {
-        if try_frame(&raw, probe).is_some() {
+        if try_frame(raw, probe).is_some() {
             // Count the surviving chain so the report says how much
             // once-durable data the truncation throws away.
             let mut survivors = 0u32;
             let mut o = probe;
-            while let Some((_, _, next)) = try_frame(&raw, o) {
+            while let Some((_, _, next)) = try_frame(raw, o) {
                 survivors += 1;
                 o = next;
             }
-            return Ok(ScanReport {
-                records,
-                tail: TailState::CorruptionBeforeTail {
-                    valid_frames_after: survivors,
-                },
-            });
+            return survivors;
         }
         probe += 1;
     }
-    Ok(ScanReport {
-        records,
-        tail: TailState::TornTail,
-    })
+    0
 }
 
 impl FileLog {
@@ -250,29 +309,12 @@ impl FileLog {
     fn write_frame(
         &mut self,
         stream: StreamId,
-        record: LogRecord,
+        record: &LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let payload = record.encode_to_bytes();
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.extend_from_slice(&stream_to_byte(stream));
-        body.extend_from_slice(&payload);
-        let crc = crc32(&body);
-
         let lsn = Lsn(self.next_offset);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc.to_le_bytes())?;
-        self.writer.write_all(&body)?;
-        self.next_offset += (HEADER_LEN + payload.len()) as u64;
-
-        self.stats.writes += 1;
-        self.stats.bytes += payload.len() as u64;
-        if durability.is_forced() {
-            self.stats.forced_writes += 1;
-            self.pending_forces += 1;
-        }
-        self.cache.push((lsn, stream, record));
+        self.out.encode(stream, record);
+        self.next_offset += self.out.write(durability)?;
         Ok(lsn)
     }
 }
@@ -284,12 +326,9 @@ impl LogManager for FileLog {
         record: LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let lsn = self.write_frame(stream, record, durability)?;
+        let lsn = self.write_frame(stream, &record, durability)?;
         if durability.is_forced() {
-            self.stats.physical_flushes += 1;
-            self.writer.flush()?;
-            self.writer.get_ref().sync_data()?;
-            self.pending_forces = 0;
+            self.out.sync()?;
         }
         Ok(lsn)
     }
@@ -303,22 +342,11 @@ impl LogManager for FileLog {
         // Forced durability is still recorded as a logical force; the
         // group-commit layer owns the single physical `sync_data` that
         // covers the batch (`flush_batch`).
-        self.write_frame(stream, record, durability)
+        self.write_frame(stream, &record, durability)
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.stats.physical_flushes += 1;
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        self.pending_forces = 0;
-        Ok(())
-    }
-
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        // Borrow the cache instead of deep-cloning the whole history on
-        // every summary or invariant check; callers that need ownership
-        // pay for the copy explicitly via `into_owned`.
-        Cow::Borrowed(&self.cache)
+        self.out.sync()
     }
 
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
@@ -329,32 +357,26 @@ impl LogManager for FileLog {
     }
 
     fn stats(&self) -> LogStats {
-        self.stats
+        self.out.stats
     }
 
     fn pending_forces(&self) -> u64 {
-        self.pending_forces
+        self.out.pending_forces
     }
 
     fn crash_discard(&mut self) {
         // A dropped `BufWriter` flushes its buffer, which would let
-        // non-forced records survive a "crash". Swap in a fresh writer and
-        // dismantle the old one without flushing, then resync in-memory
-        // state to what is actually on disk.
-        let Ok(file) = OpenOptions::new().write(true).open(&self.path) else {
+        // non-forced records survive a "crash". Resume appends where the
+        // durable prefix on disk ends, on a fresh writer that replaces
+        // the old one without flushing it.
+        let Ok(mut file) = OpenOptions::new().write(true).open(&self.path) else {
             return;
         };
-        let old = std::mem::replace(&mut self.writer, BufWriter::new(file));
-        drop(old.into_parts()); // buffered bytes are discarded, not flushed
-        let durable = scan(&self.path).unwrap_or_default();
-        self.next_offset = durable
-            .last()
-            .map(|(lsn, _, rec)| lsn.0 + frame_len(rec) as u64)
-            .unwrap_or(0);
-        let _ = self.writer.get_mut().set_len(self.next_offset);
-        let _ = self.writer.seek(SeekFrom::Start(self.next_offset));
-        self.cache = durable;
-        self.pending_forces = 0;
+        self.next_offset = scan_classified(&self.path).map_or(0, |r| r.end);
+        let _ = file.set_len(self.next_offset);
+        let _ = file.seek(SeekFrom::Start(self.next_offset));
+        self.out.switch_file(file);
+        self.out.pending_forces = 0;
     }
 }
 
@@ -363,7 +385,7 @@ impl std::fmt::Debug for FileLog {
         f.debug_struct("FileLog")
             .field("path", &self.path)
             .field("next_offset", &self.next_offset)
-            .field("stats", &self.stats)
+            .field("stats", &self.out.stats)
             .finish()
     }
 }
@@ -433,8 +455,9 @@ mod tests {
         std::fs::write(&path, &raw).unwrap();
 
         let reopened = FileLog::open(&path).unwrap();
-        assert_eq!(reopened.records().len(), 1);
-        assert_eq!(reopened.records()[0].2.txn().seq, 1);
+        let durable = reopened.durable_records();
+        assert_eq!(durable.len(), 1);
+        assert_eq!(durable[0].2.txn().seq, 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -482,7 +505,6 @@ mod tests {
             .unwrap();
         log.crash_discard();
         assert_eq!(log.durable_records().len(), 1);
-        assert_eq!(log.records().len(), 1, "cache resynced to disk");
         // The log keeps working after the simulated crash.
         log.append(StreamId::Tm, end(3), Durability::Forced)
             .unwrap();
@@ -562,7 +584,11 @@ mod tests {
         assert!(report.tail.is_corruption());
         let log = FileLog::open(&path2).unwrap();
         assert!(log.recovered_tail().is_corruption());
-        assert_eq!(log.records().len(), 0, "prefix recovery still applies");
+        assert_eq!(
+            log.durable_records().len(),
+            0,
+            "prefix recovery still applies"
+        );
 
         // Case 3: an untouched file is clean.
         let path3 = tmp("classify-clean");

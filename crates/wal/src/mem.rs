@@ -6,8 +6,6 @@
 //! [`MemLog::crash`] discards the volatile tail — the simulator's model of
 //! losing the log buffer in a system failure.
 
-use std::borrow::Cow;
-
 use tpc_common::wire::Encode;
 use tpc_common::{Error, Lsn, Result};
 
@@ -176,16 +174,6 @@ impl LogManager for MemLog {
         Ok(())
     }
 
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        Cow::Owned(
-            self.durable
-                .iter()
-                .chain(self.volatile.iter())
-                .map(|e| (e.lsn, e.stream, e.record.clone()))
-                .collect(),
-        )
-    }
-
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
         self.durable
             .iter()
@@ -238,7 +226,7 @@ mod tests {
         log.append(StreamId::Tm, end(1), Durability::NonForced)
             .unwrap();
         assert_eq!(log.durable_records().len(), 0);
-        assert_eq!(log.records().len(), 1);
+        assert_eq!(log.records_with_durability().len(), 1);
         assert_eq!(log.volatile_len(), 1);
     }
 

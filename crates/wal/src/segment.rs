@@ -29,6 +29,9 @@
 //!   the *oldest* sealed segment has ended, the segment file is deleted
 //!   (prefix-only truncation keeps the chain contiguous). In-doubt
 //!   transactions — prepared without an outcome — pin their segments.
+//!   The per-segment transaction sets are the only per-record state the
+//!   log keeps in memory, and only when retention is on; records
+//!   themselves are read back from disk.
 //!   Reclamation keys on TM `End` records only: RM streams replay
 //!   `RmUpdate` records to rebuild store state at recovery and never
 //!   write `End`, so a log carrying RM updates simply never reclaims —
@@ -38,6 +41,9 @@
 //!   flushing, re-scans the active segment from disk, and zero-fills the
 //!   non-durable tail — exactly the `FileLog` discipline, adapted to a
 //!   preallocated file where truncation would undo the preallocation.
+//!   `End` markers of the active segment are kept apart until rotation
+//!   seals it, so the ones a crash loses are forgotten with it and their
+//!   transactions keep pinning their segments.
 //!   [`FaultyLog`](crate::faults::FaultyLog) image damage (torn writes,
 //!   bit flips) applies to the first live segment file unchanged.
 //!
@@ -45,16 +51,14 @@
 //! scanned/written by this instance: monotone within a run, comparable
 //! across a recovery scan — the same contract the other backends give.
 
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use tpc_common::wire::{crc32, Encode};
 use tpc_common::{Error, Lsn, Result, TxnId};
 
-use crate::file::{frame_len, stream_to_byte, try_frame, TailState, HEADER_LEN};
+use crate::file::{survivors_after, try_frame, FrameWriter, TailState};
 use crate::log::{Durability, LogManager, LogStats, StreamId};
 use crate::record::LogRecord;
 
@@ -82,15 +86,39 @@ pub struct SegmentStats {
     pub segments_reclaimed: u64,
 }
 
+/// The retention view of one segment's frames.
+#[derive(Debug, Default)]
+struct SegmentTxns {
+    /// Transactions with at least one frame in the segment.
+    txns: HashSet<TxnId>,
+    /// Transactions whose TM `End` record is in the segment.
+    ended: HashSet<TxnId>,
+}
+
+impl SegmentTxns {
+    fn note(&mut self, record: &LogRecord) {
+        self.txns.insert(record.txn());
+        if is_end_marker(record) {
+            self.ended.insert(record.txn());
+        }
+    }
+
+    /// The view of a scanned segment; empty when retention is off.
+    fn of(records: &[(u64, StreamId, LogRecord)], retain: bool) -> Self {
+        let mut view = SegmentTxns::default();
+        if retain {
+            records.iter().for_each(|(_, _, rec)| view.note(rec));
+        }
+        view
+    }
+}
+
 /// A sealed (rotated-out, fully durable) segment.
 #[derive(Debug)]
 struct SealedSegment {
     path: PathBuf,
-    /// Logical LSN of this segment's first frame.
-    base: u64,
-    /// Bytes of valid frames (the rest of the file is zero fill).
-    len: u64,
-    /// Transactions with at least one frame in this segment.
+    /// Transactions with at least one frame in this segment (empty when
+    /// retention is off).
     txns: HashSet<TxnId>,
 }
 
@@ -99,27 +127,24 @@ struct SealedSegment {
 pub struct SegmentedLog {
     dir: PathBuf,
     segment_bytes: u64,
-    /// Reclaim fully-ended sealed segments at rotation.
+    /// Reclaim fully-ended sealed segments at rotation. Without it no
+    /// retention sets are kept.
     retain: bool,
     /// Oldest-first chain of sealed segments.
     sealed: Vec<SealedSegment>,
-    writer: BufWriter<File>,
+    out: FrameWriter,
     active_seq: u64,
     /// Logical LSN of the active segment's first frame.
     active_base: u64,
     /// Physical offset of the next frame within the active segment.
     active_off: u64,
-    /// Transactions with a frame in the active segment.
-    active_txns: HashSet<TxnId>,
-    /// Transactions whose TM `End` record has been appended.
+    /// Retention view of the active segment, folded into `sealed` and
+    /// `ended` at rotation.
+    active: SegmentTxns,
+    /// Transactions whose TM `End` record is in a sealed segment.
     ended: HashSet<TxnId>,
-    cache: Vec<(Lsn, StreamId, LogRecord)>,
-    stats: LogStats,
     seg_stats: SegmentStats,
     recovered_tail: TailState,
-    /// Logically forced appends not yet covered by a physical sync (the
-    /// force queue group commit is accumulating).
-    pending_forces: u64,
 }
 
 /// `wal-0007.seg` style name for segment `seq` (widths beyond 4 digits
@@ -153,18 +178,7 @@ fn preallocate(path: &Path, cap: u64) -> Result<File> {
         .write(true)
         .truncate(true)
         .open(path)?;
-    file.set_len(cap)?;
-    let mut w = BufWriter::with_capacity(ZERO_CHUNK, file);
-    let zeros = [0u8; ZERO_CHUNK];
-    let mut left = cap;
-    while left > 0 {
-        let n = left.min(ZERO_CHUNK as u64) as usize;
-        w.write_all(&zeros[..n])?;
-        left -= n as u64;
-    }
-    w.flush()?;
-    let mut file = w.into_inner().map_err(|e| Error::Io(e.into_error()))?;
-    file.sync_all()?;
+    let file = zero_fill(file, 0, cap)?;
     // Persist the directory entry too, so the segment itself survives a
     // crash right after rotation (best effort off Unix).
     if let Some(dir) = path.parent() {
@@ -172,7 +186,23 @@ fn preallocate(path: &Path, cap: u64) -> Result<File> {
             let _ = d.sync_all();
         }
     }
-    file.seek(SeekFrom::Start(0))?;
+    Ok(file)
+}
+
+/// Sizes `file` to `cap` bytes with real zeros over `from..cap`, syncs
+/// it, and leaves it positioned at `from`.
+fn zero_fill(mut file: File, from: u64, cap: u64) -> Result<File> {
+    file.set_len(cap)?;
+    file.seek(SeekFrom::Start(from))?;
+    let zeros = [0u8; ZERO_CHUNK];
+    let mut left = cap - from;
+    while left > 0 {
+        let n = left.min(ZERO_CHUNK as u64) as usize;
+        file.write_all(&zeros[..n])?;
+        left -= n as u64;
+    }
+    file.sync_all()?;
+    file.seek(SeekFrom::Start(from))?;
     Ok(file)
 }
 
@@ -199,26 +229,6 @@ fn scan_segment_bytes(raw: &[u8]) -> SegScan {
         stop: off as u64,
         clean,
     }
-}
-
-/// Counts the valid frames recoverable at any probe offset after `stop`
-/// — the `scan_classified` brute-force resync, reused for the chain's
-/// damaged segment.
-fn survivors_after(raw: &[u8], stop: usize) -> u32 {
-    let mut probe = stop + 1;
-    while probe + HEADER_LEN <= raw.len() {
-        if try_frame(raw, probe).is_some() {
-            let mut survivors = 0u32;
-            let mut o = probe;
-            while let Some((_, _, next)) = try_frame(raw, o) {
-                survivors += 1;
-                o = next;
-            }
-            return survivors;
-        }
-        probe += 1;
-    }
-    0
 }
 
 /// True when `record` marks its transaction forgettable (TM `End`).
@@ -277,26 +287,23 @@ impl SegmentedLog {
             fs::remove_file(path)?;
         }
         let segment_bytes = segment_bytes.max(MIN_SEGMENT_BYTES);
-        let writer = BufWriter::new(preallocate(&segment_path(&dir, 0), segment_bytes)?);
+        let file = preallocate(&segment_path(&dir, 0), segment_bytes)?;
         Ok(SegmentedLog {
             dir,
             segment_bytes,
             retain,
             sealed: Vec::new(),
-            writer,
+            out: FrameWriter::new(file),
             active_seq: 0,
             active_base: 0,
             active_off: 0,
-            active_txns: HashSet::new(),
+            active: SegmentTxns::default(),
             ended: HashSet::new(),
-            cache: Vec::new(),
-            stats: LogStats::default(),
             seg_stats: SegmentStats {
                 segments_created: 1,
                 ..SegmentStats::default()
             },
             recovered_tail: TailState::Clean,
-            pending_forces: 0,
         })
     }
 
@@ -333,34 +340,26 @@ impl SegmentedLog {
         }
 
         let mut sealed = Vec::new();
-        let mut cache = Vec::new();
         let mut ended = HashSet::new();
         let mut base = 0u64;
         let mut tail = TailState::Clean;
-        // (seq, stop, txns) of the segment that becomes active again.
-        let mut active: Option<(u64, u64, HashSet<TxnId>)> = None;
+        // (seq, stop, retention view) of the segment that becomes active
+        // again.
+        let mut active: Option<(u64, u64, SegmentTxns)> = None;
 
         for (i, (seq, path)) in segments.iter().enumerate() {
             let raw = fs::read(path)?;
             let scan = scan_segment_bytes(&raw);
             let last = i + 1 == segments.len();
-            let mut txns = HashSet::new();
-            for (off, stream, rec) in scan.records {
-                txns.insert(rec.txn());
-                if is_end_marker(&rec) {
-                    ended.insert(rec.txn());
-                }
-                cache.push((Lsn(base + off), stream, rec));
-            }
+            let view = SegmentTxns::of(&scan.records, retain);
             if scan.clean {
                 if last {
-                    active = Some((*seq, scan.stop, txns));
+                    active = Some((*seq, scan.stop, view));
                 } else {
+                    ended.extend(view.ended);
                     sealed.push(SealedSegment {
                         path: path.clone(),
-                        base,
-                        len: scan.stop,
-                        txns,
+                        txns: view.txns,
                     });
                     base += scan.stop;
                 }
@@ -377,56 +376,34 @@ impl SegmentedLog {
                 }
                 let _ = fs::remove_file(later);
             }
-            tail = if survivors > 0 {
-                TailState::CorruptionBeforeTail {
-                    valid_frames_after: survivors,
-                }
-            } else {
-                TailState::TornTail
-            };
-            active = Some((*seq, scan.stop, txns));
+            tail = TailState::after_damage(survivors);
+            active = Some((*seq, scan.stop, view));
             break;
         }
 
-        let (active_seq, active_off, active_txns) =
+        let (active_seq, active_off, active_view) =
             active.expect("non-empty chain always yields an active segment");
         let active_path = segment_path(&dir, active_seq);
-        let mut file = OpenOptions::new().write(true).open(&active_path)?;
+        let file = OpenOptions::new().write(true).open(&active_path)?;
         // Restore full preallocation: a torn image may be short, and the
         // damaged tail must not linger where a later scan could misread
         // it. Real zeros, so post-recovery appends stay metadata-free.
         let cap = segment_bytes.max(fs::metadata(&active_path)?.len().max(active_off));
-        file.set_len(cap)?;
-        file.seek(SeekFrom::Start(active_off))?;
-        let mut w = BufWriter::with_capacity(ZERO_CHUNK, file);
-        let zeros = [0u8; ZERO_CHUNK];
-        let mut left = cap - active_off;
-        while left > 0 {
-            let n = left.min(ZERO_CHUNK as u64) as usize;
-            w.write_all(&zeros[..n])?;
-            left -= n as u64;
-        }
-        w.flush()?;
-        let mut file = w.into_inner().map_err(|e| Error::Io(e.into_error()))?;
-        file.sync_all()?;
-        file.seek(SeekFrom::Start(active_off))?;
+        let file = zero_fill(file, active_off, cap)?;
 
         Ok(SegmentedLog {
             dir,
             segment_bytes: cap,
             retain,
             sealed,
-            writer: BufWriter::new(file),
+            out: FrameWriter::new(file),
             active_seq,
             active_base: base,
             active_off,
-            active_txns,
+            active: active_view,
             ended,
-            cache,
-            stats: LogStats::default(),
             seg_stats: SegmentStats::default(),
             recovered_tail: tail,
-            pending_forces: 0,
         })
     }
 
@@ -462,10 +439,9 @@ impl SegmentedLog {
     }
 
     /// Deletes sealed segments from the front of the chain while every
-    /// transaction they contain has ended; returns how many were
-    /// reclaimed. Called automatically at rotation when retention is on.
-    pub fn reclaim(&mut self) -> usize {
-        let mut removed = 0;
+    /// transaction they contain has ended. Runs at rotation when retention
+    /// is on, after the sealed segment's `End` markers joined `ended`.
+    fn reclaim(&mut self) {
         while let Some(first) = self.sealed.first() {
             // all() is vacuously true for an (unusual) empty segment —
             // nothing in it to lose, so reclaiming is still right.
@@ -474,38 +450,32 @@ impl SegmentedLog {
             }
             let seg = self.sealed.remove(0);
             let _ = fs::remove_file(&seg.path);
-            let cutoff = seg.base + seg.len;
-            self.cache.retain(|(lsn, _, _)| lsn.0 >= cutoff);
             // Drop `ended` markers no longer pinned by any live segment.
             for t in seg.txns {
-                let live = self.active_txns.contains(&t)
+                let live = self.active.txns.contains(&t)
                     || self.sealed.iter().any(|s| s.txns.contains(&t));
                 if !live {
                     self.ended.remove(&t);
                 }
             }
             self.seg_stats.segments_reclaimed += 1;
-            removed += 1;
         }
-        removed
     }
 
     /// Seals the active segment (flush + `sync_data`, one physical
     /// flush) and opens the next preallocated one.
     fn rotate(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        self.stats.physical_flushes += 1;
+        self.out.sync()?;
+        let SegmentTxns { txns, ended } = std::mem::take(&mut self.active);
+        self.ended.extend(ended);
         self.sealed.push(SealedSegment {
             path: segment_path(&self.dir, self.active_seq),
-            base: self.active_base,
-            len: self.active_off,
-            txns: std::mem::take(&mut self.active_txns),
+            txns,
         });
         self.active_base += self.active_off;
         self.active_seq += 1;
         self.active_off = 0;
-        self.writer = BufWriter::new(preallocate(
+        self.out.switch_file(preallocate(
             &segment_path(&self.dir, self.active_seq),
             self.segment_bytes,
         )?);
@@ -522,10 +492,10 @@ impl SegmentedLog {
     fn write_frame(
         &mut self,
         stream: StreamId,
-        record: LogRecord,
+        record: &LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let flen = frame_len(&record) as u64;
+        let flen = self.out.encode(stream, record);
         if flen > self.segment_bytes {
             return Err(Error::Log(format!(
                 "record frame of {flen} bytes exceeds segment capacity {}",
@@ -535,38 +505,12 @@ impl SegmentedLog {
         if self.active_off + flen > self.segment_bytes {
             self.rotate()?;
         }
-        let payload = record.encode_to_bytes();
-        let mut body = Vec::with_capacity(1 + payload.len());
-        body.extend_from_slice(&stream_to_byte(stream));
-        body.extend_from_slice(&payload);
-        let crc = crc32(&body);
-
         let lsn = Lsn(self.active_base + self.active_off);
-        self.writer
-            .write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.writer.write_all(&crc.to_le_bytes())?;
-        self.writer.write_all(&body)?;
-        self.active_off += flen;
-
-        self.stats.writes += 1;
-        self.stats.bytes += payload.len() as u64;
-        if durability.is_forced() {
-            self.pending_forces += 1;
-            self.stats.forced_writes += 1;
+        self.active_off += self.out.write(durability)?;
+        if self.retain {
+            self.active.note(record);
         }
-        self.active_txns.insert(record.txn());
-        if is_end_marker(&record) {
-            self.ended.insert(record.txn());
-        }
-        self.cache.push((lsn, stream, record));
         Ok(lsn)
-    }
-
-    fn sync_active(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_data()?;
-        self.pending_forces = 0;
-        Ok(())
     }
 }
 
@@ -590,10 +534,9 @@ impl LogManager for SegmentedLog {
         record: LogRecord,
         durability: Durability,
     ) -> Result<Lsn> {
-        let lsn = self.write_frame(stream, record, durability)?;
+        let lsn = self.write_frame(stream, &record, durability)?;
         if durability.is_forced() {
-            self.stats.physical_flushes += 1;
-            self.sync_active()?;
+            self.out.sync()?;
         }
         Ok(lsn)
     }
@@ -606,87 +549,49 @@ impl LogManager for SegmentedLog {
     ) -> Result<Lsn> {
         // Forced durability is still a logical force; the group-commit
         // layer owns the single physical `sync_data` for the batch.
-        self.write_frame(stream, record, durability)
+        self.write_frame(stream, &record, durability)
     }
 
     fn flush(&mut self) -> Result<()> {
-        self.stats.physical_flushes += 1;
-        self.sync_active()
-    }
-
-    fn records(&self) -> Cow<'_, [(Lsn, StreamId, LogRecord)]> {
-        Cow::Borrowed(&self.cache)
+        self.out.sync()
     }
 
     fn durable_records(&self) -> Vec<(Lsn, StreamId, LogRecord)> {
-        // Disk truth over the whole chain, mirroring the open() walk:
-        // sealed segments then the active one, stopping at the first
-        // damage. Errors degrade to "nothing further durable".
-        let mut out = Vec::new();
-        let mut base = 0u64;
-        let chain = self
-            .sealed
-            .iter()
-            .map(|s| s.path.clone())
-            .chain(std::iter::once(segment_path(&self.dir, self.active_seq)));
-        for path in chain {
-            let Ok(raw) = fs::read(&path) else {
-                break;
-            };
-            let scan = scan_segment_bytes(&raw);
-            for (off, stream, rec) in scan.records {
-                out.push((Lsn(base + off), stream, rec));
-            }
-            if !scan.clean {
-                break;
-            }
-            base += scan.stop;
-        }
-        out
+        // Disk truth over the live chain. Errors degrade to "nothing
+        // durable", the conservative answer for recovery.
+        scan_chain(&self.dir).unwrap_or_default()
     }
 
     fn stats(&self) -> LogStats {
-        self.stats
+        self.out.stats
     }
 
     fn pending_forces(&self) -> u64 {
-        self.pending_forces
+        self.out.pending_forces
     }
 
     fn crash_discard(&mut self) {
         // Sealed segments were synced at rotation; only the active
-        // segment holds bytes a power failure would lose. Swap in a
-        // fresh writer, discard the old buffer without flushing, and
-        // resync in-memory state to what the disk actually holds.
+        // segment holds bytes a power failure would lose. Resync
+        // in-memory state to what the disk actually holds, and swap in a
+        // fresh writer that discards the old buffer without flushing.
         let active_path = segment_path(&self.dir, self.active_seq);
-        let Ok(file) = OpenOptions::new().write(true).open(&active_path) else {
+        let Ok(mut file) = OpenOptions::new().write(true).open(&active_path) else {
             return;
         };
-        let old = std::mem::replace(&mut self.writer, BufWriter::new(file));
-        drop(old.into_parts()); // buffered bytes are discarded, not flushed
         let raw = fs::read(&active_path).unwrap_or_default();
         let scan = scan_segment_bytes(&raw);
         let stop = scan.stop;
         // Zero the partial frame the lost buffer may have left behind,
         // restoring the "frames then zero fill" invariant.
-        if (stop as usize) < raw.len() {
-            let zeros = vec![0u8; raw.len() - stop as usize];
-            let _ = self.writer.seek(SeekFrom::Start(stop));
-            let _ = self.writer.write_all(&zeros);
-            let _ = self.writer.flush();
-        }
-        let _ = self.writer.seek(SeekFrom::Start(stop));
+        let _ = file.seek(SeekFrom::Start(stop));
+        let _ = file.write_all(&vec![0u8; raw.len() - stop as usize]);
+        let _ = file.seek(SeekFrom::Start(stop));
+        self.out.switch_file(file);
         self.active_off = stop;
-        self.active_txns = scan.records.iter().map(|(_, _, r)| r.txn()).collect();
-        let cutoff = self.active_base + stop;
-        self.cache.retain(|(lsn, _, _)| lsn.0 < cutoff);
-        self.ended = self
-            .cache
-            .iter()
-            .filter(|(_, _, r)| is_end_marker(r))
-            .map(|(_, _, r)| r.txn())
-            .collect();
-        self.pending_forces = 0;
+        // Only the End markers that reached disk still count.
+        self.active = SegmentTxns::of(&scan.records, self.retain);
+        self.out.pending_forces = 0;
     }
 }
 
@@ -698,7 +603,7 @@ impl std::fmt::Debug for SegmentedLog {
             .field("active_seq", &self.active_seq)
             .field("active_off", &self.active_off)
             .field("sealed", &self.sealed.len())
-            .field("stats", &self.stats)
+            .field("stats", &self.out.stats)
             .finish()
     }
 }
@@ -706,6 +611,7 @@ impl std::fmt::Debug for SegmentedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::file::HEADER_LEN;
     use tpc_common::NodeId;
 
     fn tmp(name: &str) -> PathBuf {
@@ -742,7 +648,7 @@ mod tests {
                 .unwrap();
         }
         let log = SegmentedLog::open(&dir).unwrap();
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].1, StreamId::Tm);
         assert_eq!(recs[1].1, StreamId::Rm(2));
@@ -787,7 +693,7 @@ mod tests {
         // The full history survives a reopen, in order.
         drop(log);
         let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len(), 20);
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
@@ -818,7 +724,6 @@ mod tests {
             .unwrap();
         log.crash_discard();
         assert_eq!(log.durable_records().len(), 1);
-        assert_eq!(log.records().len(), 1, "cache resynced to disk");
         log.append(StreamId::Tm, end(3), Durability::Forced)
             .unwrap();
         let durable = log.durable_records();
@@ -876,7 +781,7 @@ mod tests {
 
         let log = SegmentedLog::open_with(&dir, MIN_SEGMENT_BYTES, false).unwrap();
         assert_eq!(log.recovered_tail(), TailState::TornTail);
-        let recs = log.records();
+        let recs = log.durable_records();
         assert_eq!(recs.len() as u64, appended, "sealed prefix intact");
         for (i, (_, _, rec)) in recs.iter().enumerate() {
             assert_eq!(rec.txn().seq, i as u64);
@@ -907,7 +812,11 @@ mod tests {
             "later valid frames must classify as corruption, got {:?}",
             log.recovered_tail()
         );
-        assert_eq!(log.records().len(), 0, "prefix recovery still applies");
+        assert_eq!(
+            log.durable_records().len(),
+            0,
+            "prefix recovery still applies"
+        );
         assert_eq!(
             list_segments(&dir).unwrap().len(),
             1,
@@ -965,21 +874,23 @@ mod tests {
             log.segment_count() >= pinned_from,
             "segments at and after the in-doubt txn are retained"
         );
-        let recs = log.records();
+        let recs = log.durable_records();
         assert!(
             recs.iter().any(|(_, _, r)| r.txn() == txn(99)),
-            "in-doubt record survives in cache"
+            "in-doubt record survives on disk"
         );
         assert!(
             recs.iter().all(|(_, _, r)| r.txn() != txn(1)),
-            "reclaimed history leaves the live view"
+            "reclaimed history leaves the chain"
         );
-        // Reclaimed history is gone from the live view but the chain
-        // still recovers cleanly.
+        // Reclaimed history is gone but the chain still recovers cleanly.
         drop(log);
         let log = SegmentedLog::open_with(&dir, 256, true).unwrap();
         assert_eq!(log.recovered_tail(), TailState::Clean);
-        assert!(log.records().iter().any(|(_, _, r)| r.txn() == txn(99)));
+        assert!(log
+            .durable_records()
+            .iter()
+            .any(|(_, _, r)| r.txn() == txn(99)));
         rm(&dir);
     }
 

@@ -7,8 +7,13 @@ use tpc_common::{NodeId, TxnId};
 use tpc_wal::file::{scan, FileLog};
 use tpc_wal::{Durability, LogManager, LogRecord, StreamId};
 
-fn tmp(tag: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("tpc-wal-prop-{}-{tag}.log", std::process::id()))
+/// A temp path unique to one property (`test`) and one case (`tag`), so
+/// properties running on parallel test threads never share a file.
+fn tmp(test: &str, tag: u64) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!(
+        "tpc-wal-prop-{}-{test}-{tag}.log",
+        std::process::id()
+    ))
 }
 
 proptest! {
@@ -22,7 +27,7 @@ proptest! {
         garbage in prop::collection::vec(any::<u8>(), 0..64),
         tag in any::<u64>(),
     ) {
-        let path = tmp(tag);
+        let path = tmp("tail-corruption", tag);
         {
             let mut log = FileLog::create(&path).unwrap();
             for i in 0..n_records {
@@ -77,7 +82,7 @@ proptest! {
         flip_bit in 0usize..8,
         tag in any::<u64>(),
     ) {
-        let path = tmp(tag.wrapping_add(1));
+        let path = tmp("bit-flip", tag);
         {
             let mut log = FileLog::create(&path).unwrap();
             for i in 0..n_records {
@@ -123,7 +128,7 @@ proptest! {
     ) {
         use tpc_wal::{FaultyLog, StorageFaultPlan};
 
-        let path = tmp(tag.wrapping_add(2));
+        let path = tmp("faulty-crash", tag);
         let mut plan = StorageFaultPlan::clean(seed).with_fsync_failures(f64::from(fsync_pct) / 100.0);
         if let Some(at) = torn {
             plan = plan.with_torn_write_at(at);

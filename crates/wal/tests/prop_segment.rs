@@ -8,8 +8,11 @@ use tpc_common::{NodeId, TxnId};
 use tpc_wal::segment::{scan_chain, SegmentedLog};
 use tpc_wal::{Durability, FaultyLog, LogManager, LogRecord, StorageFaultPlan, StreamId};
 
-fn tmp(tag: u64) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("tpc-seg-prop-{}-{tag}", std::process::id()))
+/// A temp directory unique to one property (`test`) and one case
+/// (`tag`), so properties running on parallel test threads never share a
+/// segment chain.
+fn tmp(test: &str, tag: u64) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("tpc-seg-prop-{}-{test}-{tag}", std::process::id()))
 }
 
 /// The active (highest-numbered) segment file — where a real torn write
@@ -47,7 +50,7 @@ proptest! {
         seed in any::<u64>(),
         tag in any::<u64>(),
     ) {
-        let dir = tmp(tag);
+        let dir = tmp("crash-prefix", tag);
         let _ = std::fs::remove_dir_all(&dir);
         let plan = StorageFaultPlan::clean(seed)
             .with_fsync_failures(f64::from(fsync_pct) / 100.0);
@@ -145,7 +148,7 @@ proptest! {
         seg_bytes in 128u64..400,
         tag in any::<u64>(),
     ) {
-        let dir = tmp(tag.wrapping_add(1));
+        let dir = tmp("rotation", tag);
         let _ = std::fs::remove_dir_all(&dir);
         {
             let mut log = SegmentedLog::create_with(&dir, seg_bytes, false).unwrap();

@@ -27,7 +27,8 @@ pub mod prelude {
     };
 }
 
-/// Declares deterministic property tests.
+/// Declares deterministic property tests. As with the real crate, each
+/// property carries its own `#[test]`; the macro adds no attributes.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($config:expr)] $($rest:tt)*) => {
@@ -45,7 +46,6 @@ macro_rules! __proptest_impl {
         $(#[$meta:meta])*
         fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
     )*) => {$(
-        #[test]
         $(#[$meta])*
         fn $name() {
             let __config: $crate::test_runner::ProptestConfig = $config;

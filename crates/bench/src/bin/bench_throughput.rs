@@ -40,7 +40,6 @@ use std::time::Duration;
 use tpc_common::config::GroupCommitConfig;
 use tpc_common::{ProtocolKind, SimDuration};
 use tpc_obs::{ObsSnapshot, Phase, TimelineCounter, TimelineGauge, TimelineHist};
-use tpc_runtime::tcp::TcpCluster;
 use tpc_runtime::{
     LiveCluster, LiveNodeConfig, NodeSummary, OpenLoopReport, OpenLoopSpec, WorkloadReport,
     WorkloadSpec,
@@ -130,8 +129,7 @@ struct FailureMeasurement {
     /// more means sharded — the crash kills every lane and recovery
     /// replays the one shared WAL, repartitioning transactions to lanes.
     lanes: usize,
-    /// `tcp` for the single-lane cell, `channel` for the sharded ones
-    /// (the TCP harness runs one lane per node).
+    /// `tcp` for the single-lane cell, `channel` for the sharded ones.
     transport: &'static str,
     outage: Duration,
     /// Victim's closed in-doubt window distribution, µs.
@@ -314,9 +312,8 @@ fn run_scale_case(lanes: usize, in_flight: usize, txns: usize, saturation: bool)
 /// Prepared record, frame 2) under a real file-WAL configuration, holds
 /// the outage, restarts it, and reads the failure-path telemetry back
 /// from the victim's summary. The single-lane cell runs over TCP; the
-/// sharded cells run over channels (the TCP harness is one lane per
-/// node) and exercise the shared-WAL replay that repartitions recovered
-/// transactions to their owning lanes.
+/// sharded cells run over channels and exercise the shared-WAL replay
+/// that repartitions recovered transactions to their owning lanes.
 fn run_failure_case(protocol: ProtocolKind, lanes: usize, quick: bool) -> FailureMeasurement {
     use tpc_common::{NodeId, Op};
     let outage = Duration::from_millis(if quick { 30 } else { 100 });
@@ -340,45 +337,28 @@ fn run_failure_case(protocol: ProtocolKind, lanes: usize, quick: bool) -> Failur
     let root = NodeId(0);
     let victim = NodeId(1);
 
-    let (s, restart_to_recovered) = if lanes == 1 {
-        let mut c = TcpCluster::start(vec![cfg(), cfg().kill_after_frames(2), cfg()])
-            .expect("bind loopback")
-            .with_reply_timeout(Duration::from_secs(30));
-        let t = c.begin(root);
-        t.work(victim, vec![Op::put("fp/a", "1")]);
-        t.work(NodeId(2), vec![Op::put("fp/b", "2")]);
-        let wait = t.commit_async();
-        c.await_death(victim, Duration::from_secs(10))
-            .expect("victim dies after voting");
-        std::thread::sleep(outage);
-        let restarted = std::time::Instant::now();
-        c.restart(victim).expect("restart from WAL");
-        wait.wait_with(Duration::from_secs(30))
-            .expect("root answers");
-        assert!(c.quiesce(Duration::from_secs(30)), "must quiesce");
-        let elapsed = restarted.elapsed();
-        let s = c.summary(victim).expect("victim summary");
-        c.shutdown();
-        (s, elapsed)
+    let tcp = lanes == 1;
+    let configs = vec![cfg(), cfg().kill_after_frames(2), cfg()];
+    let mut c = if tcp {
+        LiveCluster::start_tcp(configs).expect("bind loopback")
     } else {
-        let mut c = LiveCluster::start(vec![cfg(), cfg().kill_after_frames(2), cfg()])
-            .with_reply_timeout(Duration::from_secs(30));
-        let t = c.begin(root);
-        t.work(victim, vec![Op::put("fp/a", "1")]);
-        t.work(NodeId(2), vec![Op::put("fp/b", "2")]);
-        let wait = t.commit_async();
-        c.await_death(victim, Duration::from_secs(10))
-            .expect("victim dies after voting");
-        std::thread::sleep(outage);
-        let restarted = std::time::Instant::now();
-        c.restart(victim).expect("restart from the shared WAL");
-        wait.wait(Duration::from_secs(30)).expect("root answers");
-        assert!(c.quiesce(Duration::from_secs(30)), "must quiesce");
-        let elapsed = restarted.elapsed();
-        let s = c.summary(victim).expect("victim summary");
-        c.shutdown();
-        (s, elapsed)
-    };
+        LiveCluster::start(configs)
+    }
+    .with_reply_timeout(Duration::from_secs(30));
+    let t = c.begin(root);
+    t.work(victim, vec![Op::put("fp/a", "1")]);
+    t.work(NodeId(2), vec![Op::put("fp/b", "2")]);
+    let wait = t.commit_async();
+    c.await_death(victim, Duration::from_secs(10))
+        .expect("victim dies after voting");
+    std::thread::sleep(outage);
+    let restarted = std::time::Instant::now();
+    c.restart(victim).expect("restart from the WAL");
+    wait.wait(Duration::from_secs(30)).expect("root answers");
+    assert!(c.quiesce(Duration::from_secs(30)), "must quiesce");
+    let restart_to_recovered = restarted.elapsed();
+    let s = c.summary(victim).expect("victim summary");
+    c.shutdown();
 
     let obs = s.obs.expect("observability was on");
     let recovery = s.recovery.expect("restart recorded recovery stats");
@@ -386,7 +366,7 @@ fn run_failure_case(protocol: ProtocolKind, lanes: usize, quick: bool) -> Failur
     FailureMeasurement {
         protocol,
         lanes,
-        transport: if lanes == 1 { "tcp" } else { "channel" },
+        transport: if tcp { "tcp" } else { "channel" },
         outage,
         in_doubt: obs.in_doubt,
         recovery,
@@ -400,9 +380,11 @@ fn run_case(case: Case, spec: &WorkloadSpec) -> Measurement {
         max_wait: SimDuration::from_millis(2),
         adaptive: false,
     });
+    // Options first: `with_opts` replaces the whole optimization set,
+    // group commit included.
     let mut cfg = LiveNodeConfig::new(case.protocol)
-        .with_group_commit(gc)
         .with_opts(case.opts())
+        .with_group_commit(gc)
         .with_observability();
     // Log files go under target/ so fsync hits the real filesystem the
     // build uses, not a tmpfs that would flatter the numbers.
@@ -419,17 +401,14 @@ fn run_case(case: Case, spec: &WorkloadSpec) -> Measurement {
         };
     }
     let configs = vec![cfg; NODES];
-    let (report, summaries) = if case.tcp {
-        let c = TcpCluster::start(configs).expect("bind loopback");
-        let report = c.run_workload(spec);
-        assert!(c.quiesce(Duration::from_secs(30)), "cluster must quiesce");
-        (report, c.shutdown())
+    let c = if case.tcp {
+        LiveCluster::start_tcp(configs).expect("bind loopback")
     } else {
-        let c = LiveCluster::start(configs);
-        let report = c.run_workload(spec);
-        assert!(c.quiesce(Duration::from_secs(30)), "cluster must quiesce");
-        (report, c.shutdown())
+        LiveCluster::start(configs)
     };
+    let report = c.run_workload(spec);
+    assert!(c.quiesce(Duration::from_secs(30)), "cluster must quiesce");
+    let summaries = c.shutdown();
     if case.wal_backend.durable() {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -490,8 +469,6 @@ fn render_json(
             "      \"transport\": \"{}\",",
             if c.tcp { "tcp" } else { "channel" }
         );
-        // `log` repeats `wal_backend` for readers of the old schema.
-        let _ = writeln!(s, "      \"log\": \"{}\",", c.wal_backend.name());
         let _ = writeln!(s, "      \"wal_backend\": \"{}\",", c.wal_backend.name());
         let _ = writeln!(s, "      \"group_commit\": {},", c.group_commit);
         let _ = writeln!(s, "      \"optimizations\": \"{}\",", c.optimizations);

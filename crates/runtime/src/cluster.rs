@@ -1,24 +1,28 @@
-//! The in-process live cluster: one thread per node, crossbeam channels
-//! as the network, with kill / restart / fault-injection controls for
-//! chaos testing.
+//! The live cluster: one thread per node lane, with kill / restart /
+//! fault-injection controls for chaos testing. Frames travel over
+//! crossbeam channels ([`LiveCluster::start`]) or loopback TCP sockets
+//! ([`LiveCluster::start_tcp`]); everything above the transport is the
+//! same code.
 
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use tpc_common::{Error, NodeId, Op, PooledBuf, Result, TxnId};
+use tpc_common::{BufferPool, Error, NodeId, Op, PooledBuf, Result, TxnId};
 use tpc_rm::SharedRm;
 use tpc_wal::{LogManager, SharedLog};
 
 use crate::fault::{FaultPlan, FaultStats, FaultyWire};
 use crate::node::{
-    create_log, lane_of, make_obs, recover_lanes, reopen_log, rm_config, tail_counts, AckSlot,
-    AppCmd, CommitResult, Inbound, IoHealth, LaneParts, LiveNodeConfig, LogRole, NodeSummary,
-    NodeWorker, Transport,
+    create_log, lane_driver, lane_of, make_obs, recover_lanes, reopen_log, rm_config, tail_counts,
+    AckSlot, AppCmd, CommitResult, Inbound, IoHealth, LaneParts, LaneStart, LiveNodeConfig,
+    LogRole, NodeSummary, NodeWorker, Transport,
 };
 use crate::signal::ClusterSignal;
+use crate::tcp::{RetryPolicy, TcpTransport};
 use crate::workload::{run_closed_loop, run_open_loop, OpenLoopReport, OpenLoopSpec};
 use crate::workload::{WorkloadReport, WorkloadSpec};
 
@@ -36,11 +40,7 @@ pub struct ChannelTransport {
 }
 
 impl Transport for ChannelTransport {
-    fn send(&mut self, to: NodeId, bytes: PooledBuf) {
-        self.send_to_lane(to, 0, bytes);
-    }
-
-    fn send_to_lane(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
+    fn send(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
         if let Some(lanes) = self.peers.get(to.index()) {
             if let Some(tx) = lanes.get(lane).or_else(|| lanes.first()) {
                 let _ = tx.send(Inbound::Frame {
@@ -52,7 +52,20 @@ impl Transport for ChannelTransport {
     }
 }
 
-/// A running in-process cluster.
+/// How frames travel between nodes — the one thing the two transports
+/// do differently. Read only when a lane's transport is made.
+enum Net {
+    /// In-process crossbeam channels straight into the lane inboxes.
+    Channel,
+    /// Loopback sockets: node `i` listens on `addrs[i]`, and `pools[i]`
+    /// is the buffer pool its transports and socket readers share.
+    Tcp {
+        addrs: Vec<SocketAddr>,
+        pools: Vec<BufferPool>,
+    },
+}
+
+/// A running live cluster.
 pub struct LiveCluster {
     /// `senders[node][lane]` — lane 0 always exists.
     senders: Vec<Vec<Sender<Inbound>>>,
@@ -74,7 +87,8 @@ pub struct LiveCluster {
     reply_timeout: Duration,
     /// Bumped by workers on observable progress; cluster-level waits
     /// block on it instead of sleep-polling.
-    signal: Arc<ClusterSignal>,
+    pub(crate) signal: Arc<ClusterSignal>,
+    net: Net,
 }
 
 impl LiveCluster {
@@ -103,6 +117,28 @@ impl LiveCluster {
         faults: Vec<Option<FaultPlan>>,
     ) -> Self {
         assert_eq!(configs.len(), faults.len(), "one fault slot per node");
+        let mut cluster = Self::unstarted(configs, partners);
+        cluster.spawn_all(faults);
+        cluster
+    }
+
+    /// Starts the cluster over loopback TCP: every node binds a listener
+    /// and frames travel over real sockets, each carrying its
+    /// destination lane, demonstrating that the engine's wire format and
+    /// ordering assumptions hold on a real network stack. No standing
+    /// partners, as with [`LiveCluster::start`].
+    pub fn start_tcp(configs: Vec<LiveNodeConfig>) -> std::io::Result<Self> {
+        let n = configs.len();
+        let mut cluster = Self::unstarted(configs, &[]);
+        let (addrs, pools) = crate::tcp::listen(&cluster.senders)?;
+        cluster.net = Net::Tcp { addrs, pools };
+        cluster.spawn_all(vec![None; n]);
+        Ok(cluster)
+    }
+
+    /// Builds the lane inboxes and bookkeeping of a cluster whose
+    /// workers have not been spawned yet, on the channel network.
+    fn unstarted(configs: Vec<LiveNodeConfig>, partners: &[(usize, usize)]) -> Self {
         let n = configs.len();
         let lanes = configs.first().map(|c| c.lanes.max(1)).unwrap_or(1);
         assert!(
@@ -110,19 +146,9 @@ impl LiveCluster {
             "lane count must be uniform across the cluster (txn→lane \
              routing is a pure function every node computes)"
         );
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut txs = Vec::with_capacity(lanes);
-            let mut rxs = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                let (tx, rx) = unbounded();
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            senders.push(txs);
-            receivers.push(rxs);
-        }
+        let (senders, receivers) = (0..n)
+            .map(|_| (0..lanes).map(|_| unbounded()).unzip())
+            .unzip();
         let downstream: Vec<Vec<NodeId>> = (0..n)
             .map(|i| {
                 partners
@@ -132,8 +158,7 @@ impl LiveCluster {
                     .collect()
             })
             .collect();
-        let epoch = Instant::now();
-        let mut cluster = LiveCluster {
+        LiveCluster {
             senders,
             receivers,
             handles: (0..n).map(|_| (0..lanes).map(|_| None).collect()).collect(),
@@ -141,79 +166,110 @@ impl LiveCluster {
             configs,
             downstream,
             fault_stats: vec![None; n],
-            epoch,
+            epoch: Instant::now(),
             next_seq: Arc::new(AtomicU64::new(1)),
             reply_timeout: DEFAULT_REPLY_TIMEOUT,
             signal: Arc::new(ClusterSignal::new()),
-        };
-        for (i, plan) in faults.iter().enumerate() {
-            let node = NodeId(i as u32);
-            if lanes == 1 {
-                let transport = cluster.make_transport(node, plan.clone());
-                let worker = NodeWorker::new(
-                    node,
-                    cluster.configs[i].clone(),
-                    cluster.downstream[i].clone(),
-                    transport,
-                    cluster.receivers[i][0].clone(),
-                    epoch,
-                    Arc::clone(&cluster.signal),
-                );
-                cluster.handles[i][0] =
-                    Some(spawn_worker(i, 0, 1, worker, Arc::clone(&cluster.signal)));
-                continue;
-            }
-            // Multi-lane: every lane shares one RM, one durable log
-            // (SharedLog clones) and one obs recorder; each lane runs
-            // its own driver thread on its own inbound channel.
-            let cfg = cluster.configs[i].clone();
-            let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-            // Storage faults wrap the base device *inside* the SharedLog,
-            // so every lane's appends run through one fault stream,
-            // exactly as they share one physical disk.
-            let shared_tm = SharedLog::new(create_log(&cfg, node, LogRole::Tm));
-            let shared_rm_log: Option<SharedLog> = if cfg.opts.shared_log {
-                None
-            } else {
-                Some(SharedLog::new(create_log(&cfg, node, LogRole::Rm)))
-            };
-            let obs = make_obs(&cfg);
-            let health = Arc::new(IoHealth::default());
-            let ack_slot = Arc::new(AckSlot::default());
-            for lane in 0..lanes {
-                let transport = cluster.make_transport(node, plan.clone());
-                let parts = LaneParts {
-                    rm: Arc::clone(&rm),
-                    log: Box::new(shared_tm.clone()),
-                    rm_log: shared_rm_log
-                        .as_ref()
-                        .map(|l| Box::new(l.clone()) as Box<dyn LogManager + Send>),
-                    obs: obs.clone(),
-                    lane,
-                    lane_peers: cluster.senders[i].clone(),
-                    health: Arc::clone(&health),
-                    ack_slot: Some(Arc::clone(&ack_slot)),
-                };
-                let worker = NodeWorker::new_with_parts(
-                    node,
-                    cfg.clone(),
-                    cluster.downstream[i].clone(),
-                    transport,
-                    cluster.receivers[i][lane].clone(),
-                    epoch,
-                    Arc::clone(&cluster.signal),
-                    parts,
-                );
-                cluster.handles[i][lane] = Some(spawn_worker(
-                    i,
-                    lane,
-                    lanes,
-                    worker,
-                    Arc::clone(&cluster.signal),
-                ));
-            }
+            net: Net::Channel,
         }
-        cluster
+    }
+
+    /// Spawns every node's lane workers on fresh logs.
+    fn spawn_all(&mut self, faults: Vec<Option<FaultPlan>>) {
+        for (i, plan) in faults.into_iter().enumerate() {
+            let node = NodeId(i as u32);
+            let cfg = self.configs[i].clone();
+            // The RM log must share the TM log's durability class: a node
+            // whose TM log survives a crash but whose RM log does not
+            // could not honour its prepared guarantee.
+            let rm_log = (!cfg.opts.shared_log).then(|| create_log(&cfg, node, LogRole::Rm));
+            let log = create_log(&cfg, node, LogRole::Tm);
+            let obs = make_obs(&cfg);
+            let starts = (0..self.lanes)
+                .map(|_| LaneStart {
+                    driver: lane_driver(node, &cfg, &self.downstream[i], obs.as_ref())
+                        .expect("valid live config"),
+                    actions: Vec::new(),
+                })
+                .collect();
+            let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
+            let parts = NodeParts {
+                rm,
+                log,
+                rm_log,
+                obs,
+            };
+            self.spawn_node(node, &cfg, plan, parts, starts)
+                .expect("valid live config");
+        }
+    }
+
+    /// Builds and spawns every lane worker of `node` from its lane
+    /// starts — fresh drivers at start-up, [`recover_lanes`]' output on
+    /// restart. A single-lane node owns its logs outright and carries no
+    /// ack slot, so its engine accounts every ack itself, as the
+    /// simulator's does. The lanes of a multi-lane node share the logs
+    /// through [`SharedLog`] clones (storage faults sit inside the
+    /// wrapper, so all lanes' appends run through one fault stream, as
+    /// they share one disk), one RM, one recorder and one ack slot.
+    fn spawn_node(
+        &mut self,
+        node: NodeId,
+        cfg: &LiveNodeConfig,
+        plan: Option<FaultPlan>,
+        node_parts: NodeParts,
+        starts: Vec<LaneStart>,
+    ) -> Result<()> {
+        let i = node.index();
+        let lane_logs: Vec<(LogBox, Option<LogBox>)> = if self.lanes == 1 {
+            vec![(node_parts.log, node_parts.rm_log)]
+        } else {
+            let tm = SharedLog::new(node_parts.log);
+            let rm_log = node_parts.rm_log.map(SharedLog::new);
+            (0..self.lanes)
+                .map(|_| {
+                    let rm_log = rm_log.as_ref().map(|l| Box::new(l.clone()) as LogBox);
+                    (Box::new(tm.clone()) as LogBox, rm_log)
+                })
+                .collect()
+        };
+        let (lane_peers, ack_slot) = if self.lanes == 1 {
+            (Vec::new(), None)
+        } else {
+            (self.senders[i].clone(), Some(Arc::new(AckSlot::default())))
+        };
+        let health = Arc::new(IoHealth::default());
+        for (lane, ((log, rm_log), start)) in lane_logs.into_iter().zip(starts).enumerate() {
+            let transport = self.make_transport(node, lane, plan.clone());
+            let parts = LaneParts {
+                rm: Arc::clone(&node_parts.rm),
+                log,
+                rm_log,
+                obs: node_parts.obs.clone(),
+                lane,
+                lane_peers: lane_peers.clone(),
+                health: Arc::clone(&health),
+                ack_slot: ack_slot.clone(),
+            };
+            let worker = NodeWorker::from_parts(
+                node,
+                cfg,
+                transport,
+                self.receivers[i][lane].clone(),
+                self.epoch,
+                Arc::clone(&self.signal),
+                parts,
+                start,
+            )?;
+            self.handles[i][lane] = Some(spawn_worker(
+                i,
+                lane,
+                self.lanes,
+                worker,
+                Arc::clone(&self.signal),
+            ));
+        }
+        Ok(())
     }
 
     /// Replaces the reply deadline used by blocking requests.
@@ -222,10 +278,26 @@ impl LiveCluster {
         self
     }
 
-    fn make_transport(&mut self, node: NodeId, plan: Option<FaultPlan>) -> Box<dyn Transport> {
-        let base = ChannelTransport {
-            me: node,
-            peers: self.senders.clone(),
+    /// Makes the transport one lane of `node` sends through, wrapped in a
+    /// [`FaultyWire`] when the node has a fault plan.
+    fn make_transport(
+        &mut self,
+        node: NodeId,
+        lane: usize,
+        plan: Option<FaultPlan>,
+    ) -> Box<dyn Transport> {
+        let base: Box<dyn Transport> = match &self.net {
+            Net::Channel => Box::new(ChannelTransport {
+                me: node,
+                peers: self.senders.clone(),
+            }),
+            Net::Tcp { addrs, pools } => Box::new(TcpTransport::new(
+                node,
+                addrs.clone(),
+                RetryPolicy::default(),
+                self.senders[node.index()][lane].clone(),
+                pools[node.index()].clone(),
+            )),
         };
         match plan {
             Some(plan) => {
@@ -233,7 +305,7 @@ impl LiveCluster {
                 self.fault_stats[node.index()] = Some(wire.stats());
                 Box::new(wire)
             }
-            None => Box::new(base),
+            None => base,
         }
     }
 
@@ -356,34 +428,17 @@ impl LiveCluster {
         }
         let mut cfg = self.configs[node.index()].clone();
         // The replacement "disk" is healthy: the original incarnation's
-        // fault plan does not follow the node through restart.
+        // fault plan does not follow the node through restart, and a
+        // recovered node does not crash again (`kill_after_frames` is
+        // one-shot).
         cfg.storage_faults = None;
-        if self.lanes == 1 {
-            let transport = self.make_transport(node, None);
-            let worker = NodeWorker::restart(
-                node,
-                cfg,
-                self.downstream[node.index()].clone(),
-                transport,
-                self.receivers[node.index()][0].clone(),
-                self.epoch,
-                Arc::clone(&self.signal),
-            )?;
-            self.handles[node.index()][0] = Some(spawn_worker(
-                node.index(),
-                0,
-                1,
-                worker,
-                Arc::clone(&self.signal),
-            ));
-            return Ok(());
-        }
-        // Multi-lane restart: reopen the one shared WAL (classifying any
-        // tail damage), replay it once, and hand each lane its own
-        // recovered driver + pending recovery actions.
+        cfg.kill_after_frames = None;
+        // Reopen the durable WAL (classifying any tail damage), replay it
+        // once, and hand each lane its own recovered driver + pending
+        // recovery actions.
         let (mut log, tm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Tm)?;
         let mut damage = tail_counts(tm_tail);
-        let mut rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
+        let mut rm_log: Option<LogBox> = if cfg.opts.shared_log {
             None
         } else {
             let (rm_log, rm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Rm)?;
@@ -393,7 +448,7 @@ impl LiveCluster {
         };
         let obs = make_obs(&cfg);
         let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        let recovered = recover_lanes(
+        let starts = recover_lanes(
             node,
             &cfg,
             &self.downstream[node.index()],
@@ -404,46 +459,13 @@ impl LiveCluster {
             self.epoch,
             damage,
         )?;
-        // The recovered single-owner logs become the node's shared
-        // devices again; every lane gets a clone.
-        let shared_tm = SharedLog::new(log);
-        let shared_rm_log = rm_log.map(SharedLog::new);
-        let health = Arc::new(IoHealth::default());
-        let ack_slot = Arc::new(AckSlot::default());
-        for (lane, rec) in recovered.into_iter().enumerate() {
-            let transport = self.make_transport(node, None);
-            let parts = LaneParts {
-                rm: Arc::clone(&rm),
-                log: Box::new(shared_tm.clone()),
-                rm_log: shared_rm_log
-                    .as_ref()
-                    .map(|l| Box::new(l.clone()) as Box<dyn LogManager + Send>),
-                obs: obs.clone(),
-                lane,
-                lane_peers: self.senders[node.index()].clone(),
-                health: Arc::clone(&health),
-                ack_slot: Some(Arc::clone(&ack_slot)),
-            };
-            let worker = NodeWorker::resume_with_parts(
-                node,
-                cfg.clone(),
-                transport,
-                self.receivers[node.index()][lane].clone(),
-                self.epoch,
-                Arc::clone(&self.signal),
-                parts,
-                rec.driver,
-                rec.actions,
-            )?;
-            self.handles[node.index()][lane] = Some(spawn_worker(
-                node.index(),
-                lane,
-                self.lanes,
-                worker,
-                Arc::clone(&self.signal),
-            ));
-        }
-        Ok(())
+        let parts = NodeParts {
+            rm,
+            log,
+            rm_log,
+            obs,
+        };
+        self.spawn_node(node, &cfg, None, parts, starts)
     }
 
     fn broadcast_partner_down(&self, peer: NodeId) {
@@ -682,6 +704,17 @@ impl LiveCluster {
         };
         let _ = self.senders[node.index()][lane].send(Inbound::App(cmd));
     }
+}
+
+type LogBox = Box<dyn LogManager + Send>;
+
+/// What a node's lanes share — its RM, durable logs and recorder —
+/// handed to [`LiveCluster::spawn_node`] to be split across the lanes.
+struct NodeParts {
+    rm: Arc<SharedRm>,
+    log: LogBox,
+    rm_log: Option<LogBox>,
+    obs: Option<Arc<tpc_obs::Obs>>,
 }
 
 fn spawn_worker<T: Transport>(

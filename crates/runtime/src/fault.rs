@@ -132,7 +132,7 @@ impl FaultStats {
 struct HeldFrame {
     release_after: u64,
     to: NodeId,
-    lane: Option<usize>,
+    lane: usize,
     bytes: PooledBuf,
 }
 
@@ -184,17 +184,8 @@ impl<T> FaultyWire<T> {
     }
 }
 
-impl<T: Transport> FaultyWire<T> {
-    /// Delivers to the inner transport, preserving lane addressing when
-    /// the frame carried one.
-    fn deliver(&mut self, to: NodeId, lane: Option<usize>, bytes: PooledBuf) {
-        match lane {
-            Some(l) => self.inner.send_to_lane(to, l, bytes),
-            None => self.inner.send(to, bytes),
-        }
-    }
-
-    fn faulty_send(&mut self, to: NodeId, lane: Option<usize>, bytes: PooledBuf) {
+impl<T: Transport> Transport for FaultyWire<T> {
+    fn send(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
         self.sends += 1;
         if self.disconnected() {
             self.stats.disconnected.fetch_add(1, Ordering::Relaxed);
@@ -207,11 +198,11 @@ impl<T: Transport> FaultyWire<T> {
             .is_some_and(|h| h.release_after <= self.sends)
         {
             let h = self.held.pop_front().expect("checked front");
-            self.deliver(h.to, h.lane, h.bytes);
+            self.inner.send(h.to, h.lane, h.bytes);
         }
         if !self.plan.fault_work_frames && carries_work(&bytes) {
             self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-            self.deliver(to, lane, bytes);
+            self.inner.send(to, lane, bytes);
             return;
         }
         let roll = self.roll();
@@ -235,20 +226,10 @@ impl<T: Transport> FaultyWire<T> {
             // uniquely owned, so the clone pays one allocation (rare
             // path — duplication is a fault, not the steady state).
             let copy = PooledBuf::from(bytes.to_vec());
-            self.deliver(to, lane, copy);
+            self.inner.send(to, lane, copy);
         }
         self.stats.delivered.fetch_add(1, Ordering::Relaxed);
-        self.deliver(to, lane, bytes);
-    }
-}
-
-impl<T: Transport> Transport for FaultyWire<T> {
-    fn send(&mut self, to: NodeId, bytes: PooledBuf) {
-        self.faulty_send(to, None, bytes);
-    }
-
-    fn send_to_lane(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
-        self.faulty_send(to, Some(lane), bytes);
+        self.inner.send(to, lane, bytes);
     }
 
     fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
@@ -279,7 +260,7 @@ mod tests {
     struct Recorder(Arc<Mutex<Sent>>);
 
     impl Transport for Recorder {
-        fn send(&mut self, to: NodeId, bytes: PooledBuf) {
+        fn send(&mut self, to: NodeId, _lane: usize, bytes: PooledBuf) {
             self.0.lock().unwrap().push((to, bytes.into_vec()));
         }
     }
@@ -293,7 +274,7 @@ mod tests {
         let rec = Recorder::default();
         let mut wire = FaultyWire::new(rec.clone(), FaultPlan::clean(7));
         for i in 0..10 {
-            wire.send(NodeId(1), frame(i));
+            wire.send(NodeId(1), 0, frame(i));
         }
         assert_eq!(rec.0.lock().unwrap().len(), 10);
         assert_eq!(wire.stats().delivered.load(Ordering::Relaxed), 10);
@@ -307,7 +288,7 @@ mod tests {
             let plan = FaultPlan::clean(seed).with_drops(0.3).with_duplicates(0.2);
             let mut wire = FaultyWire::new(rec.clone(), plan);
             for i in 0..50 {
-                wire.send(NodeId(0), frame(i));
+                wire.send(NodeId(0), 0, frame(i));
             }
             let log = rec.0.lock().unwrap();
             log.iter().map(|(_, b)| b[0]).collect::<Vec<_>>()
@@ -321,7 +302,7 @@ mod tests {
         let rec = Recorder::default();
         let mut wire = FaultyWire::new(rec.clone(), FaultPlan::clean(1).with_drops(1.0));
         for i in 0..5 {
-            wire.send(NodeId(0), frame(i));
+            wire.send(NodeId(0), 0, frame(i));
         }
         assert_eq!(rec.0.lock().unwrap().len(), 0);
         assert_eq!(wire.stats().dropped.load(Ordering::Relaxed), 5);
@@ -333,7 +314,7 @@ mod tests {
         // Delay everything by 2 sends: frame N surfaces while sending N+2.
         let mut wire = FaultyWire::new(rec.clone(), FaultPlan::clean(3).with_delays(1.0, 2));
         for i in 0..4 {
-            wire.send(NodeId(0), frame(i));
+            wire.send(NodeId(0), 0, frame(i));
         }
         // Frames 0 and 1 released (while sending 2 and 3); 2 and 3 still
         // held.
@@ -347,7 +328,7 @@ mod tests {
         let rec = Recorder::default();
         let mut wire = FaultyWire::new(rec.clone(), FaultPlan::clean(5).with_disconnect_after(3));
         for i in 0..8 {
-            wire.send(NodeId(0), frame(i));
+            wire.send(NodeId(0), 0, frame(i));
         }
         assert_eq!(rec.0.lock().unwrap().len(), 3);
         assert_eq!(wire.stats().disconnected.load(Ordering::Relaxed), 5);
@@ -357,7 +338,7 @@ mod tests {
     fn duplicates_deliver_twice() {
         let rec = Recorder::default();
         let mut wire = FaultyWire::new(rec.clone(), FaultPlan::clean(9).with_duplicates(1.0));
-        wire.send(NodeId(2), frame(7));
+        wire.send(NodeId(2), 0, frame(7));
         let log = rec.0.lock().unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0], log[1]);

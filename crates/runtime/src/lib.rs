@@ -4,14 +4,18 @@
 //! optionally real TCP sockets, driving the same sans-IO engine the
 //! simulator drives.
 //!
-//! Two transports:
+//! One cluster, [`LiveCluster`], with two constructors that differ only
+//! in how a node's [`Transport`] is made:
 //!
-//! * [`LiveCluster::start`] — every node is a thread; frames travel over
-//!   crossbeam channels. This is the harness the examples use.
-//! * [`tcp::TcpCluster::start`] — every node additionally binds a loopback
-//!   TCP listener and frames travel over sockets, demonstrating that the
-//!   engine's wire format and ordering assumptions hold on a real network
-//!   stack.
+//! * [`LiveCluster::start`] — every node lane is a thread; frames travel
+//!   over crossbeam channels. This is the harness the examples use.
+//! * [`LiveCluster::start_tcp`] — every node additionally binds a
+//!   loopback TCP listener and frames travel over sockets, each header
+//!   naming its destination lane, demonstrating that the engine's wire
+//!   format and ordering assumptions hold on a real network stack.
+//!
+//! Everything else — lanes, kill / restart, recovery, workloads, metrics
+//! — is the same code over either transport.
 //!
 //! The application API is deliberately small:
 //!
@@ -69,9 +73,8 @@
 //! [`LiveNodeConfig::with_tracing`] additionally captures per-
 //! transaction phase spans. [`LiveCluster::prometheus_dump`] renders
 //! the Prometheus text exposition, [`LiveCluster::chrome_trace`] a
-//! chrome-trace JSON for one transaction (both also on
-//! [`tcp::TcpCluster`]), and each [`NodeSummary::obs`] carries the raw
-//! snapshot.
+//! chrome-trace JSON for one transaction, and each
+//! [`NodeSummary::obs`] carries the raw snapshot.
 //!
 //! Failure paths are first-class: per-node in-doubt window tracking
 //! (`tpc_in_doubt_seconds`, opened at the durable `Prepared` record,
@@ -79,10 +82,9 @@
 //! telemetry ([`NodeSummary::recovery`]), TCP retry/reconnect counters,
 //! and cross-node trace propagation (frames carry a
 //! [`tpc_common::TraceCtx`], so `chrome_trace` stitches one causal tree
-//! across nodes). [`LiveCluster::serve_metrics`] /
-//! [`tcp::TcpCluster::serve_metrics`] expose it all on a live HTTP
-//! `/metrics` endpoint ([`http::MetricsServer`], `curl`-able, no
-//! dependencies).
+//! across nodes). [`LiveCluster::serve_metrics`] exposes it all on a
+//! live HTTP `/metrics` endpoint ([`http::MetricsServer`], `curl`-able,
+//! no dependencies).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -185,18 +185,11 @@ impl TransportHealth {
 
 /// How frames leave a node.
 pub trait Transport: Send + 'static {
-    /// Delivers an encoded frame to `to` (best effort). The buffer is
-    /// pooled: the transport (or the receiving node, for in-process
+    /// Delivers an encoded frame to coordinator lane `lane` of `to`
+    /// (best effort; single-lane nodes only ever see lane 0). The buffer
+    /// is pooled: the transport (or the receiving node, for in-process
     /// delivery) recycles it by dropping it.
-    fn send(&mut self, to: NodeId, bytes: PooledBuf);
-
-    /// Delivers an encoded frame to a specific coordinator lane of `to`.
-    /// Transports that cannot address lanes (TCP, recorders) fall back to
-    /// [`Transport::send`]; the receiving side then owns lane dispatch.
-    fn send_to_lane(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
-        let _ = lane;
-        self.send(to, bytes);
-    }
+    fn send(&mut self, to: NodeId, lane: usize, bytes: PooledBuf);
 
     /// Transport-level counters for the metrics endpoint, as
     /// `(metric_name, help, value)` triples. Transports without
@@ -228,12 +221,8 @@ pub trait Transport: Send + 'static {
 }
 
 impl Transport for Box<dyn Transport> {
-    fn send(&mut self, to: NodeId, bytes: PooledBuf) {
-        (**self).send(to, bytes)
-    }
-
-    fn send_to_lane(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
-        (**self).send_to_lane(to, lane, bytes)
+    fn send(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
+        (**self).send(to, lane, bytes)
     }
 
     fn counters(&self) -> Vec<(&'static str, &'static str, u64)> {
@@ -1246,11 +1235,7 @@ impl<T: Transport> Wire for LiveHost<T> {
             bundle: Bundle(msgs),
         }
         .encode_append(&mut bytes);
-        if self.lanes > 1 {
-            self.transport.send_to_lane(to, lane, bytes);
-        } else {
-            self.transport.send(to, bytes);
-        }
+        self.transport.send(to, lane, bytes);
     }
 }
 
@@ -1543,7 +1528,7 @@ pub enum Inbound {
     LockVictims(Vec<TxnId>),
     /// Crash the worker: volatile state and buffered log tails are lost,
     /// in-flight application replies are dropped. Only the durable WAL
-    /// survives for [`NodeWorker::restart`].
+    /// survives for [`LiveCluster::restart`](crate::LiveCluster::restart).
     Kill,
     /// Stop the worker; it replies with its final summary.
     Shutdown {
@@ -1704,9 +1689,9 @@ pub(crate) fn reopen_log(
 }
 
 /// The per-lane slice of a node's shared infrastructure: one RM, one
-/// log (possibly a [`SharedLog`] clone), one lane index and the sibling
-/// lanes' inbound channels. Single-lane nodes build this implicitly in
-/// [`NodeWorker::new`]; the multi-lane cluster builds one per lane.
+/// log (a [`tpc_wal::SharedLog`] clone on multi-lane nodes, the plain
+/// log on a single-lane node), one lane index and the sibling lanes'
+/// inbound channels. The cluster builds one per lane.
 pub(crate) struct LaneParts {
     pub rm: Arc<SharedRm>,
     pub log: Box<dyn LogManager + Send>,
@@ -1755,16 +1740,42 @@ pub(crate) fn tail_counts(tail: TailState) -> (u64, u64) {
     }
 }
 
-/// One lane's recovered protocol state: its rebuilt [`Driver`] and the
-/// recovery actions (queries, re-driven decisions) awaiting application.
-pub(crate) struct RecoveredLane {
+/// One lane's protocol state at spawn: its [`Driver`] and the actions to
+/// apply before the first inbound message — recovery's queries and
+/// re-driven decisions on restart, none on a fresh start.
+pub(crate) struct LaneStart {
     pub driver: Driver,
     pub actions: Vec<Action>,
 }
 
+/// A fresh driver for one lane of `node`: the engine configured from
+/// `cfg`, the standing downstream `partners` declared, and the node's
+/// recorder attached (before any recovery runs, so recovered in-doubt
+/// windows re-open at their durable `prepared_at` instants).
+pub(crate) fn lane_driver(
+    node: NodeId,
+    cfg: &LiveNodeConfig,
+    partners: &[NodeId],
+    obs: Option<&Arc<Obs>>,
+) -> Result<Driver> {
+    let mut driver = Driver::new(EngineConfig {
+        node,
+        protocol: cfg.protocol,
+        opts: cfg.opts.clone(),
+        timeouts: cfg.timeouts,
+        heuristic: cfg.heuristic,
+    })?;
+    for p in partners {
+        driver.engine_mut().add_session_partner(*p);
+    }
+    if let Some(o) = obs {
+        driver.set_obs(Arc::clone(o));
+    }
+    Ok(driver)
+}
+
 /// Replays a node's durable log(s) after a crash and rebuilds per-lane
-/// driver state — the sharded generalization of the single-lane restart
-/// sequence:
+/// driver state, exactly as a restarted process would:
 ///
 /// 1. resource-manager recovery runs once over the durable RM stream
 ///    (redo committed work, restore prepared transactions as in-doubt
@@ -1792,7 +1803,7 @@ pub(crate) fn recover_lanes(
     obs: Option<&Arc<Obs>>,
     epoch: Instant,
     tail_damage: (u64, u64),
-) -> Result<Vec<RecoveredLane>> {
+) -> Result<Vec<LaneStart>> {
     let lanes = cfg.lanes.max(1);
     let now = SimTime(epoch.elapsed().as_micros() as u64);
     let scan_started = Instant::now();
@@ -1809,22 +1820,7 @@ pub(crate) fn recover_lanes(
 
     let mut recovered = Vec::with_capacity(lanes);
     for lane in 0..lanes {
-        let engine_cfg = EngineConfig {
-            node,
-            protocol: cfg.protocol,
-            opts: cfg.opts.clone(),
-            timeouts: cfg.timeouts,
-            heuristic: cfg.heuristic,
-        };
-        let mut driver = Driver::new(engine_cfg)?;
-        for p in partners {
-            driver.engine_mut().add_session_partner(*p);
-        }
-        // Observability attaches before recovery so recovered in-doubt
-        // windows re-open at their durable `prepared_at` instants.
-        if let Some(o) = obs {
-            driver.set_obs(Arc::clone(o));
-        }
+        let mut driver = lane_driver(node, cfg, partners, obs)?;
         if lane == 0 {
             driver.note_wal_scan(scan_us);
             driver.note_log_damage(tail_damage.0, tail_damage.1);
@@ -1839,7 +1835,7 @@ pub(crate) fn recover_lanes(
             durable_tm.clone()
         };
         let actions = driver.recover(&lane_records, now)?;
-        recovered.push(RecoveredLane { driver, actions });
+        recovered.push(LaneStart { driver, actions });
     }
     for txn in rm.in_doubt() {
         let disposition = recovered[lane_of(txn, lanes)]
@@ -1869,199 +1865,26 @@ pub(crate) fn rm_config(cfg: &LiveNodeConfig) -> RmConfig {
 }
 
 impl<T: Transport> NodeWorker<T> {
-    /// Builds a single-lane worker; `partners` are the standing
-    /// downstream partners.
-    pub fn new(
-        node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
-        transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
-    ) -> Self {
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        // The RM log must share the TM log's durability class: a node
-        // whose TM log survives a crash but whose RM log does not could
-        // not honour its prepared guarantee.
-        let rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
-            None
-        } else {
-            Some(create_log(&cfg, node, LogRole::Rm))
-        };
-        let log = create_log(&cfg, node, LogRole::Tm);
-        let obs = make_obs(&cfg);
-        let parts = LaneParts {
-            rm,
-            log,
-            rm_log,
-            obs,
-            lane: 0,
-            lane_peers: Vec::new(),
-            health: Arc::new(IoHealth::default()),
-            ack_slot: None,
-        };
-        Self::new_with_parts(node, cfg, partners, transport, rx, epoch, signal, parts)
-    }
-
-    /// Builds one lane of a (possibly multi-lane) node from pre-built
-    /// shared parts. All lanes of a node share `parts.rm` and (through
-    /// [`SharedLog`] clones) the durable logs; each lane runs its own
-    /// [`Driver`].
+    /// Builds one lane worker from its slice of the node's parts and
+    /// applies the lane's pending actions, so recovery's queries and
+    /// re-driven decisions go out over the real transport before the
+    /// first inbound message is processed. All lanes of a node share
+    /// `parts.rm` and (through [`tpc_wal::SharedLog`] clones) the
+    /// durable logs; each lane runs its own [`Driver`].
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new_with_parts(
+    pub(crate) fn from_parts(
         node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
+        cfg: &LiveNodeConfig,
         transport: T,
         rx: Receiver<Inbound>,
         epoch: Instant,
         signal: Arc<ClusterSignal>,
         parts: LaneParts,
-    ) -> Self {
-        let engine_cfg = EngineConfig {
-            node,
-            protocol: cfg.protocol,
-            opts: cfg.opts.clone(),
-            timeouts: cfg.timeouts,
-            heuristic: cfg.heuristic,
-        };
-        let mut driver = Driver::new(engine_cfg).expect("valid live config");
-        for p in partners {
-            driver.engine_mut().add_session_partner(p);
-        }
-        let kill_after_frames = cfg.kill_after_frames;
-        if let Some(o) = &parts.obs {
-            driver.set_obs(Arc::clone(o));
-        }
-        let mut host = LiveHost::new(
-            node,
-            &cfg,
-            transport,
-            parts.log,
-            parts.rm_log,
-            parts.rm,
-            epoch,
-        );
-        host.obs = parts.obs;
-        host.lanes = cfg.lanes.max(1);
-        host.lane = parts.lane;
-        host.lane_peers = parts.lane_peers;
-        host.health = parts.health;
-        host.ack_slot = parts.ack_slot;
-        NodeWorker {
-            driver,
-            host,
-            rx,
-            frames_seen: 0,
-            kill_after_frames,
-            unsolicited: cfg.unsolicited || cfg.opts.unsolicited_vote,
-            ack_linger: cfg.effective_ack_linger(),
-            ack_deadline: None,
-            lock_wait_timeout: cfg.lock_wait_timeout,
-            next_lock_sweep: Instant::now() + Duration::from_millis(100),
-            next_gauge_sample: Instant::now(),
-            signal,
-        }
-    }
-
-    /// Rebuilds a worker from its durable state after a kill, exactly as
-    /// a restarted process would:
-    ///
-    /// 1. reopen the file WAL(s), discarding any torn tail;
-    /// 2. replay resource-manager recovery (redo committed work, restore
-    ///    prepared transactions as in-doubt with their locks);
-    /// 3. run engine recovery over the durable TM stream — interrupted
-    ///    voting aborts, in-doubt seats query or await per the protocol's
-    ///    presumption, decided-but-unacknowledged outcomes re-drive;
-    /// 4. resolve RM in-doubt transactions the TM already decided through
-    ///    the shared [`TmEngine::recovered_disposition`] rule.
-    ///
-    /// The recovery protocol actions (queries, re-driven decisions) are
-    /// applied immediately, so they go out over the real transport before
-    /// the first inbound message is processed. Requires a durable backend
-    /// ([`LogBackend::File`] or [`LogBackend::Segmented`]): a memory log
-    /// dies with the node, leaving nothing to recover from.
-    ///
-    /// [`TmEngine::recovered_disposition`]: tpc_core::TmEngine::recovered_disposition
-    pub fn restart(
-        node: NodeId,
-        cfg: LiveNodeConfig,
-        partners: Vec<NodeId>,
-        transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
-    ) -> Result<Self> {
-        if cfg.lanes > 1 {
-            return Err(Error::Config(
-                "multi-lane restart is orchestrated by the cluster (one worker per lane)".into(),
-            ));
-        }
-        let (mut log, tm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Tm)?;
-        let mut damage = tail_counts(tm_tail);
-        let mut rm_log: Option<Box<dyn LogManager + Send>> = if cfg.opts.shared_log {
-            None
-        } else {
-            let (rm_log, rm_tail) = reopen_log(&cfg.log_backend, node, LogRole::Rm)?;
-            let (t, c) = tail_counts(rm_tail);
-            damage = (damage.0 + t, damage.1 + c);
-            Some(rm_log)
-        };
-        // Observability attaches before recovery so the recovered
-        // in-doubt windows re-open at their durable `prepared_at`
-        // instants (covering the outage, not just the tail after it).
-        let obs = make_obs(&cfg);
-        let rm = Arc::new(SharedRm::new(rm_config(&cfg), cfg.effective_stripes()));
-        let mut lanes = recover_lanes(
-            node,
-            &cfg,
-            &partners,
-            &rm,
-            &mut log,
-            &mut rm_log,
-            obs.as_ref(),
-            epoch,
-            damage,
-        )?;
-        let RecoveredLane { driver, actions } = lanes.remove(0);
-        let parts = LaneParts {
-            rm,
-            log,
-            rm_log,
-            obs,
-            lane: 0,
-            lane_peers: Vec::new(),
-            health: Arc::new(IoHealth::default()),
-            ack_slot: None,
-        };
-        Self::resume_with_parts(
-            node, cfg, transport, rx, epoch, signal, parts, driver, actions,
-        )
-    }
-
-    /// Builds a worker around an already-recovered lane [`Driver`] (from
-    /// [`recover_lanes`]) and applies its pending recovery actions, so
-    /// queries and re-driven decisions go out over the real transport
-    /// before the first inbound message is processed. The restart knobs
-    /// reset: a recovered node does not crash again
-    /// (`kill_after_frames`), and the replacement disk is healthy
-    /// (fresh [`IoHealth`], no storage faults).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resume_with_parts(
-        node: NodeId,
-        cfg: LiveNodeConfig,
-        transport: T,
-        rx: Receiver<Inbound>,
-        epoch: Instant,
-        signal: Arc<ClusterSignal>,
-        parts: LaneParts,
-        driver: Driver,
-        actions: Vec<Action>,
+        start: LaneStart,
     ) -> Result<Self> {
         let mut host = LiveHost::new(
             node,
-            &cfg,
+            cfg,
             transport,
             parts.log,
             parts.rm_log,
@@ -2075,12 +1898,11 @@ impl<T: Transport> NodeWorker<T> {
         host.health = parts.health;
         host.ack_slot = parts.ack_slot;
         let mut worker = NodeWorker {
-            driver,
+            driver: start.driver,
             host,
             rx,
             frames_seen: 0,
-            // A restarted node must not crash again: the knob is one-shot.
-            kill_after_frames: None,
+            kill_after_frames: cfg.kill_after_frames,
             unsolicited: cfg.unsolicited || cfg.opts.unsolicited_vote,
             ack_linger: cfg.effective_ack_linger(),
             ack_deadline: None,
@@ -2090,7 +1912,7 @@ impl<T: Transport> NodeWorker<T> {
             signal,
         };
         let now = worker.host.now();
-        worker.driver.apply(&mut worker.host, now, actions)?;
+        worker.driver.apply(&mut worker.host, now, start.actions)?;
         worker.pump();
         Ok(worker)
     }

@@ -1,11 +1,17 @@
-//! TCP transport: the same node workers over loopback sockets.
+//! TCP transport: the same node workers over loopback sockets, started
+//! with [`LiveCluster::start_tcp`](crate::LiveCluster::start_tcp).
 //!
-//! Frame format on the wire: `u32 len (LE) | u32 sender (LE) | bundle
-//! bytes`. One outbound connection per (src, dst) pair, established
-//! lazily; one acceptor thread per node fans incoming frames into the
-//! node's inbound channel.
+//! Frame format on the wire: `u32 len (LE) | u32 sender (LE) | u32 lane
+//! (LE) | bundle bytes`. The lane field names the destination
+//! coordinator lane, so a multi-lane node's frames reach the lane that
+//! owns their transaction without a dispatch hop. One outbound
+//! connection per (sending lane, destination node) pair, established
+//! lazily; one acceptor thread per node spawns a reader per connection,
+//! and each reader hands every frame to its lane's inbound channel. A
+//! frame naming a lane the node does not run drops the connection, as an
+//! oversized length does.
 //!
-//! Sends are asynchronous and coalesced: [`TcpTransport::send`] enqueues
+//! Sends are asynchronous and coalesced: a [`TcpTransport`] send enqueues
 //! the frame to a per-peer sender thread, which drains everything queued
 //! behind it and hands the whole run of frames to the kernel in a single
 //! `write_all` (bounded by [`MAX_COALESCE_BYTES`] / frames). Under a
@@ -28,20 +34,12 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use tpc_common::{BufferPool, Error, NodeId, Op, PooledBuf, Result, TxnId};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use tpc_common::{BufferPool, NodeId, PooledBuf};
 
-use crate::cluster::recv_reply;
-use crate::fault::{FaultPlan, FaultyWire};
-use crate::node::{
-    AppCmd, CommitResult, Inbound, LiveNodeConfig, NodeSummary, NodeWorker, Transport,
-    TransportHealth,
-};
-use crate::signal::ClusterSignal;
-use crate::workload::{run_closed_loop, WorkloadReport, WorkloadSpec};
+use crate::node::{Inbound, Transport, TransportHealth};
 
 /// Cap on bytes coalesced into one `write_all` (keeps a slow peer from
 /// accumulating an unbounded batch in memory before the first byte
@@ -51,9 +49,8 @@ pub const MAX_COALESCE_BYTES: usize = 256 * 1024;
 /// Cap on frames coalesced into one `write_all`.
 pub const MAX_COALESCE_FRAMES: u64 = 128;
 
-/// How long TCP cluster-level blocking requests wait before reporting
-/// [`Error::Timeout`].
-const DEFAULT_REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+/// Bytes of wire header in front of every frame: length, sender, lane.
+const HEADER_LEN: usize = 12;
 
 /// Reconnect discipline for a [`TcpTransport`].
 #[derive(Clone, Debug)]
@@ -106,7 +103,7 @@ pub struct TcpSendStats {
     pub frames: AtomicU64,
     /// `write_all` calls — syscall batches, each covering ≥1 frame.
     pub writes: AtomicU64,
-    /// Total bytes written, including the 8-byte frame headers.
+    /// Total bytes written, including the 12-byte frame headers.
     pub bytes: AtomicU64,
     /// Frames dropped after retry exhaustion (peer unreachable).
     pub dropped: AtomicU64,
@@ -129,14 +126,15 @@ pub struct TcpTransport {
     me: NodeId,
     addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
-    /// The owning node's inbound channel, for failure notifications.
+    /// The owning lane's inbound channel, for failure notifications.
     self_tx: Sender<Inbound>,
-    /// Lazily-spawned per-peer outbound queues; dropping the transport
-    /// closes them, and each sender thread drains what is already queued
-    /// and exits. Queued frames are pooled payloads — the 8-byte wire
-    /// header is written by the sender thread straight into its pooled
-    /// coalescing batch, so the enqueue path never copies or allocates.
-    peers: HashMap<NodeId, Sender<PooledBuf>>,
+    /// Lazily-spawned per-peer outbound queues of `(destination lane,
+    /// payload)`; dropping the transport closes them, and each sender
+    /// thread drains what is already queued and exits. Queued frames are
+    /// pooled payloads — the wire header is written by the sender thread
+    /// straight into its pooled coalescing batch, so the enqueue path
+    /// never copies or allocates.
+    peers: HashMap<NodeId, Sender<(u32, PooledBuf)>>,
     stats: Arc<TcpSendStats>,
     /// Shared buffer pool: the node encodes into it, sender threads
     /// recycle payloads and batch buffers back into it, and the node's
@@ -145,7 +143,7 @@ pub struct TcpTransport {
 }
 
 impl TcpTransport {
-    fn new(
+    pub(crate) fn new(
         me: NodeId,
         addrs: Vec<SocketAddr>,
         policy: RetryPolicy,
@@ -168,10 +166,10 @@ impl TcpTransport {
         Arc::clone(&self.stats)
     }
 
-    fn peer_queue(&mut self, to: NodeId) -> Option<&Sender<PooledBuf>> {
+    fn peer_queue(&mut self, to: NodeId) -> Option<&Sender<(u32, PooledBuf)>> {
         if !self.peers.contains_key(&to) {
             let addr = *self.addrs.get(to.index())?;
-            let (tx, rx) = unbounded::<PooledBuf>();
+            let (tx, rx) = unbounded();
             let policy = self.policy.clone();
             let self_tx = self.self_tx.clone();
             let stats = Arc::clone(&self.stats);
@@ -188,9 +186,9 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn send(&mut self, to: NodeId, bytes: PooledBuf) {
+    fn send(&mut self, to: NodeId, lane: usize, bytes: PooledBuf) {
         if let Some(tx) = self.peer_queue(to) {
-            if tx.send(bytes).is_ok() {
+            if tx.send((lane as u32, bytes)).is_ok() {
                 self.stats.queued.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -233,12 +231,13 @@ impl Transport for TcpTransport {
     }
 }
 
-/// Appends one wire frame (`u32 len | u32 sender | payload`) to the
-/// coalescing batch. The payload buffer recycles to the pool when the
-/// caller drops it.
-fn append_frame(batch: &mut Vec<u8>, me: NodeId, payload: &[u8]) {
+/// Appends one wire frame (`u32 len | u32 sender | u32 lane | payload`)
+/// to the coalescing batch. The payload buffer recycles to the pool when
+/// the caller drops it.
+fn append_frame(batch: &mut Vec<u8>, me: NodeId, lane: u32, payload: &[u8]) {
     batch.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     batch.extend_from_slice(&me.0.to_le_bytes());
+    batch.extend_from_slice(&lane.to_le_bytes());
     batch.extend_from_slice(payload);
 }
 
@@ -256,7 +255,7 @@ fn peer_sender(
     to: NodeId,
     addr: SocketAddr,
     policy: RetryPolicy,
-    rx: Receiver<PooledBuf>,
+    rx: Receiver<(u32, PooledBuf)>,
     self_tx: Sender<Inbound>,
     stats: Arc<TcpSendStats>,
     pool: BufferPool,
@@ -274,15 +273,15 @@ fn peer_sender(
     // connect counts as a reconnect.
     let mut connected_once = false;
     'frames: loop {
-        let Ok(first) = rx.recv() else { return };
+        let Ok((lane, first)) = rx.recv() else { return };
         let mut batch = pool.checkout();
-        append_frame(&mut batch, me, &first);
+        append_frame(&mut batch, me, lane, &first);
         drop(first); // payload recycles while we keep draining
         let mut frames = 1u64;
         while batch.len() < MAX_COALESCE_BYTES && frames < MAX_COALESCE_FRAMES {
             match rx.try_recv() {
-                Ok(f) => {
-                    append_frame(&mut batch, me, &f);
+                Ok((lane, f)) => {
+                    append_frame(&mut batch, me, lane, &f);
                     frames += 1;
                 }
                 Err(_) => break,
@@ -332,14 +331,40 @@ fn peer_sender(
     }
 }
 
-fn acceptor(listener: TcpListener, tx: Sender<Inbound>, pool: BufferPool) {
+/// Binds one loopback listener per node and spawns its acceptor, which
+/// feeds the node's lane inboxes (`inboxes[node][lane]`). Returns the
+/// listening addresses and the per-node buffer pools: a node's pool is
+/// shared by its lanes' transports (outbound encode + sender batches) and
+/// its readers (inbound frame assembly), and outlives a restart so warmed
+/// capacity survives the crash. Listeners stay bound across a kill —
+/// the model is a crashed transaction manager whose endpoint reappears
+/// on restart.
+pub(crate) fn listen(
+    inboxes: &[Vec<Sender<Inbound>>],
+) -> std::io::Result<(Vec<SocketAddr>, Vec<BufferPool>)> {
+    let mut addrs = Vec::with_capacity(inboxes.len());
+    let mut pools = Vec::with_capacity(inboxes.len());
+    for (i, lanes) in inboxes.iter().enumerate() {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        addrs.push(listener.local_addr()?);
+        let pool = BufferPool::new();
+        pools.push(pool.clone());
+        let lanes = lanes.clone();
+        std::thread::Builder::new()
+            .name(format!("tpc-acceptor-{i}"))
+            .spawn(move || acceptor(listener, lanes, pool))?;
+    }
+    Ok((addrs, pools))
+}
+
+fn acceptor(listener: TcpListener, lanes: Vec<Sender<Inbound>>, pool: BufferPool) {
     for stream in listener.incoming() {
         let Ok(stream) = stream else { break };
-        let tx = tx.clone();
+        let lanes = lanes.clone();
         let pool = pool.clone();
         if std::thread::Builder::new()
             .name("tpc-tcp-reader".into())
-            .spawn(move || reader(stream, tx, pool))
+            .spawn(move || reader(stream, lanes, pool))
             .is_err()
         {
             // Could not spawn a reader: drop the connection; the peer
@@ -349,16 +374,23 @@ fn acceptor(listener: TcpListener, tx: Sender<Inbound>, pool: BufferPool) {
     }
 }
 
-fn reader(mut stream: TcpStream, tx: Sender<Inbound>, pool: BufferPool) {
-    let mut header = [0u8; 8];
+/// One connection's reader: parses frames and hands each to the inbox of
+/// the lane its header names (`lanes[lane]`). A malformed header — an
+/// absurd length or a lane the node does not run — drops the connection.
+fn reader(mut stream: TcpStream, lanes: Vec<Sender<Inbound>>, pool: BufferPool) {
+    let mut header = [0u8; HEADER_LEN];
+    let field = |h: &[u8; HEADER_LEN], at: usize| {
+        u32::from_le_bytes([h[at], h[at + 1], h[at + 2], h[at + 3]])
+    };
     loop {
         if stream.read_exact(&mut header).is_err() {
             return; // peer closed or died: reader ends quietly
         }
-        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        let from = NodeId(u32::from_le_bytes([
-            header[4], header[5], header[6], header[7],
-        ]));
+        let len = field(&header, 0) as usize;
+        let from = NodeId(field(&header, 4));
+        let Some(tx) = lanes.get(field(&header, 8) as usize) else {
+            return; // no such lane: drop the connection
+        };
         if len > 64 * 1024 * 1024 {
             return; // absurd frame: drop the connection
         }
@@ -375,413 +407,15 @@ fn reader(mut stream: TcpStream, tx: Sender<Inbound>, pool: BufferPool) {
     }
 }
 
-/// A cluster whose nodes talk TCP over loopback.
-pub struct TcpCluster {
-    senders: Vec<Sender<Inbound>>,
-    receivers: Vec<Receiver<Inbound>>,
-    handles: Vec<Option<JoinHandle<NodeSummary>>>,
-    configs: Vec<LiveNodeConfig>,
-    next_seq: Arc<AtomicU64>,
-    policy: RetryPolicy,
-    epoch: Instant,
-    reply_timeout: Duration,
-    signal: Arc<ClusterSignal>,
-    /// One buffer pool per node, shared by its transport (outbound
-    /// encode + sender batches) and its acceptor's readers (inbound
-    /// frame assembly). A restart reuses the node's pool so warmed
-    /// capacity survives the crash.
-    pools: Vec<BufferPool>,
-    /// The socket addresses the nodes listen on.
-    pub addrs: Vec<SocketAddr>,
-}
-
-impl TcpCluster {
-    /// Binds loopback listeners, spawns workers, full-mesh partnership.
-    pub fn start(configs: Vec<LiveNodeConfig>) -> std::io::Result<Self> {
-        let faults = vec![None; configs.len()];
-        Self::start_with_faults(configs, faults, RetryPolicy::default())
-    }
-
-    /// Starts with per-node outbound fault plans (the [`FaultyWire`]
-    /// wraps the TCP transport itself, demonstrating injection below the
-    /// socket seam) and an explicit reconnect policy.
-    pub fn start_with_faults(
-        configs: Vec<LiveNodeConfig>,
-        faults: Vec<Option<FaultPlan>>,
-        policy: RetryPolicy,
-    ) -> std::io::Result<Self> {
-        assert_eq!(configs.len(), faults.len(), "one fault slot per node");
-        let n = configs.len();
-        let mut listeners = Vec::with_capacity(n);
-        let mut addrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            addrs.push(l.local_addr()?);
-            listeners.push(l);
-        }
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-        let epoch = Instant::now();
-        let mut cluster = TcpCluster {
-            senders,
-            receivers,
-            handles: (0..n).map(|_| None).collect(),
-            configs,
-            next_seq: Arc::new(AtomicU64::new(1)),
-            policy,
-            epoch,
-            reply_timeout: DEFAULT_REPLY_TIMEOUT,
-            signal: Arc::new(ClusterSignal::new()),
-            pools: (0..n).map(|_| BufferPool::new()).collect(),
-            addrs,
-        };
-        for (i, listener) in listeners.into_iter().enumerate() {
-            let node = NodeId(i as u32);
-            let tx = cluster.senders[i].clone();
-            let pool = cluster.pools[i].clone();
-            std::thread::Builder::new()
-                .name(format!("tpc-acceptor-{i}"))
-                .spawn(move || acceptor(listener, tx, pool))?;
-            let transport = cluster.make_transport(node, faults[i].clone());
-            // Commit trees form from the work actually exchanged; no
-            // standing partnership by default (it is directional and
-            // tree-shaped — see LiveCluster::start_with_topology).
-            let worker = NodeWorker::new(
-                node,
-                cluster.configs[i].clone(),
-                Vec::new(),
-                transport,
-                cluster.receivers[i].clone(),
-                epoch,
-                Arc::clone(&cluster.signal),
-            );
-            cluster.handles[i] = Some(spawn_tcp_worker(i, worker, Arc::clone(&cluster.signal))?);
-        }
-        Ok(cluster)
-    }
-
-    /// Replaces the reply deadline used by blocking requests.
-    pub fn with_reply_timeout(mut self, timeout: Duration) -> Self {
-        self.reply_timeout = timeout;
-        self
-    }
-
-    fn make_transport(&self, node: NodeId, plan: Option<FaultPlan>) -> Box<dyn Transport> {
-        let base = TcpTransport::new(
-            node,
-            self.addrs.clone(),
-            self.policy.clone(),
-            self.senders[node.index()].clone(),
-            self.pools[node.index()].clone(),
-        );
-        match plan {
-            Some(plan) => Box::new(FaultyWire::new(base, plan)),
-            None => Box::new(base),
-        }
-    }
-
-    /// Kills `node`'s worker mid-protocol (its listener stays bound —
-    /// the model is a crashed transaction manager whose endpoint
-    /// reappears on restart, so peer frames sent meanwhile queue and are
-    /// discarded at restart like packets to a dead process). Partners are
-    /// notified so they abort or re-drive.
-    pub fn kill(&mut self, node: NodeId) -> Result<NodeSummary> {
-        let handle = self.handles[node.index()]
-            .take()
-            .ok_or(Error::NodeDown(node))?;
-        let _ = self.senders[node.index()].send(Inbound::Kill);
-        let summary = handle
-            .join()
-            .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i != node.index() && self.handles[i].is_some() {
-                let _ = tx.send(Inbound::PartnerDown { peer: node });
-            }
-        }
-        Ok(summary)
-    }
-
-    /// Waits for a node armed with
-    /// [`kill_after_frames`](LiveNodeConfig::kill_after_frames) to crash
-    /// itself, then notifies its partners. Fails with [`Error::Timeout`]
-    /// if the node is still alive after `timeout`.
-    pub fn await_death(&mut self, node: NodeId, timeout: Duration) -> Result<NodeSummary> {
-        if self.handles[node.index()].is_none() {
-            return Err(Error::NodeDown(node));
-        }
-        let finished = self.signal.wait_for(timeout, || {
-            self.handles[node.index()]
-                .as_ref()
-                .is_some_and(|h| h.is_finished())
-                .then_some(())
-        });
-        if finished.is_none() {
-            return Err(Error::Timeout(format!(
-                "{node} still alive after {timeout:?}"
-            )));
-        }
-        let handle = self.handles[node.index()].take().expect("checked above");
-        let summary = handle
-            .join()
-            .map_err(|_| Error::Transport(format!("worker {node} panicked")))?;
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i != node.index() && self.handles[i].is_some() {
-                let _ = tx.send(Inbound::PartnerDown { peer: node });
-            }
-        }
-        Ok(summary)
-    }
-
-    /// Restarts a killed node from its durable file WAL; recovery
-    /// messages go out over real sockets.
-    pub fn restart(&mut self, node: NodeId) -> Result<()> {
-        if self.handles[node.index()].is_some() {
-            return Err(Error::InvalidState(format!("{node} is already running")));
-        }
-        while self.receivers[node.index()].try_recv().is_ok() {}
-        let transport = self.make_transport(node, None);
-        let worker = NodeWorker::restart(
-            node,
-            self.configs[node.index()].clone(),
-            Vec::new(),
-            transport,
-            self.receivers[node.index()].clone(),
-            self.epoch,
-            Arc::clone(&self.signal),
-        )?;
-        self.handles[node.index()] = Some(
-            spawn_tcp_worker(node.index(), worker, Arc::clone(&self.signal)).map_err(Error::Io)?,
-        );
-        Ok(())
-    }
-
-    /// Begins a transaction rooted at `root`.
-    pub fn begin(&self, root: NodeId) -> TcpTxnHandle<'_> {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        TcpTxnHandle {
-            cluster: self,
-            txn: TxnId::new(root, seq),
-            root,
-        }
-    }
-
-    /// Reads a committed value from `node`'s store.
-    pub fn read(&self, node: NodeId, key: &str) -> Option<Vec<u8>> {
-        let (tx, rx) = bounded(1);
-        self.senders[node.index()]
-            .send(Inbound::App(AppCmd::Read {
-                key: key.as_bytes().to_vec(),
-                reply: tx,
-            }))
-            .ok()?;
-        recv_reply(&rx, node, self.reply_timeout).ok()?
-    }
-
-    /// Polls `node`'s store until `key` holds a value or `timeout`
-    /// elapses — see [`crate::LiveCluster::read_eventually`] for why
-    /// cross-node visibility needs a deadline.
-    pub fn read_eventually(&self, node: NodeId, key: &str, timeout: Duration) -> Option<Vec<u8>> {
-        self.signal.wait_for(timeout, || self.read(node, key))
-    }
-
-    /// Waits until every live node reports zero active transactions, or
-    /// `timeout` passes. Returns `true` on quiescence.
-    pub fn quiesce(&self, timeout: Duration) -> bool {
-        self.signal
-            .wait_for(timeout, || {
-                let busy = (0..self.handles.len()).any(|i| {
-                    self.handles[i].is_some()
-                        && self
-                            .summary(NodeId(i as u32))
-                            .is_none_or(|s| s.active_txns > 0)
-                });
-                (!busy).then_some(())
-            })
-            .is_some()
-    }
-
-    /// Drives a closed-loop concurrent workload over real sockets — the
-    /// TCP twin of [`crate::LiveCluster::run_workload`].
-    pub fn run_workload(&self, spec: &WorkloadSpec) -> WorkloadReport {
-        assert!(self.len() >= 2, "workload needs a root and a server node");
-        let server = NodeId((self.len() - 1) as u32);
-        let roots = self.len() - 1;
-        run_closed_loop(spec.concurrency, spec.txns, |slot, i| {
-            let root = NodeId((slot % roots) as u32);
-            let t = self.begin(root);
-            let key = format!("{}-{slot}-{i}", spec.key_prefix);
-            t.work(server, vec![Op::put(&key, &i.to_string())]);
-            t.commit_async().wait_with(spec.reply_timeout)
-        })
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// True when the cluster has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Fetches a node's live summary.
-    pub fn summary(&self, node: NodeId) -> Option<NodeSummary> {
-        self.handles[node.index()].as_ref()?;
-        let (tx, rx) = bounded(1);
-        self.senders[node.index()]
-            .send(Inbound::App(AppCmd::Summary { reply: tx }))
-            .ok()?;
-        recv_reply(&rx, node, self.reply_timeout).ok()
-    }
-
-    /// Renders the Prometheus text exposition for every live node — the
-    /// TCP twin of [`crate::LiveCluster::prometheus_dump`].
-    pub fn prometheus_dump(&self) -> String {
-        crate::obs_export::prometheus_text(&self.live_summaries())
-    }
-
-    /// Renders a chrome-trace JSON of one transaction's phase spans
-    /// across all live nodes (requires
-    /// [`LiveNodeConfig::with_tracing`]).
-    pub fn chrome_trace(&self, txn: TxnId) -> String {
-        crate::obs_export::chrome_trace_text(&self.live_summaries(), txn)
-    }
-
-    fn live_summaries(&self) -> Vec<NodeSummary> {
-        (0..self.len())
-            .filter_map(|i| self.summary(NodeId(i as u32)))
-            .collect()
-    }
-
-    /// Serves the cluster observability endpoints over HTTP at `addr`
-    /// (use `"127.0.0.1:0"` for an ephemeral port) — the TCP twin of
-    /// [`crate::LiveCluster::serve_metrics`]: `/metrics`, `/healthz`
-    /// (503 once any node's WAL degrades), the windowed `/timeline`
-    /// JSON and the `/debug/flight` recorder dump. Each request
-    /// collects fresh summaries from every node that answers within a
-    /// bounded wait, so a killed node degrades the response instead of
-    /// hanging it.
-    pub fn serve_metrics(&self, addr: &str) -> std::io::Result<crate::http::MetricsServer> {
-        let senders = self.senders.clone();
-        let timeout = self.reply_timeout.min(Duration::from_secs(2));
-        crate::http::MetricsServer::serve_routes(addr, move |path| {
-            let summaries: Vec<NodeSummary> = senders
-                .iter()
-                .enumerate()
-                .filter_map(|(i, tx)| {
-                    let (reply, rx) = bounded(1);
-                    tx.send(Inbound::App(AppCmd::Summary { reply })).ok()?;
-                    recv_reply(&rx, NodeId(i as u32), timeout).ok()
-                })
-                .collect();
-            crate::obs_export::route(&summaries, path)
-        })
-    }
-
-    /// Stops every live node.
-    pub fn shutdown(self) -> Vec<NodeSummary> {
-        let mut out = Vec::new();
-        for (i, tx) in self.senders.iter().enumerate() {
-            if self.handles[i].is_some() {
-                let (reply, _rx) = bounded(1);
-                let _ = tx.send(Inbound::Shutdown { reply });
-            }
-        }
-        for h in self.handles.into_iter().flatten() {
-            if let Ok(s) = h.join() {
-                out.push(s);
-            }
-        }
-        out
-    }
-}
-
-fn spawn_tcp_worker<T: Transport>(
-    index: usize,
-    worker: NodeWorker<T>,
-    signal: Arc<ClusterSignal>,
-) -> std::io::Result<JoinHandle<NodeSummary>> {
-    std::thread::Builder::new()
-        .name(format!("tpc-tcp-node-{index}"))
-        .spawn(move || {
-            let summary = worker.run();
-            // Final bump so await_death / quiesce observe the exit.
-            signal.bump();
-            summary
-        })
-}
-
-/// A transaction in flight on a [`TcpCluster`].
-pub struct TcpTxnHandle<'a> {
-    cluster: &'a TcpCluster,
-    txn: TxnId,
-    root: NodeId,
-}
-
-impl TcpTxnHandle<'_> {
-    /// The transaction id.
-    pub fn id(&self) -> TxnId {
-        self.txn
-    }
-
-    /// Sends work to a partner.
-    pub fn work(&self, to: NodeId, ops: Vec<Op>) {
-        let _ = self.cluster.senders[self.root.index()].send(Inbound::App(AppCmd::Work {
-            txn: self.txn,
-            to,
-            ops,
-        }));
-    }
-
-    /// Requests commit, blocking for the outcome; typed errors instead
-    /// of hanging on a dead root.
-    pub fn commit(self) -> Result<CommitResult> {
-        let timeout = self.cluster.reply_timeout;
-        self.commit_async().wait_with(timeout)
-    }
-
-    /// Requests commit and returns a waiter, releasing the cluster
-    /// borrow so the caller can kill/restart nodes meanwhile.
-    pub fn commit_async(self) -> TcpCommitWait {
-        let (tx, rx) = bounded(1);
-        let _ = self.cluster.senders[self.root.index()].send(Inbound::App(AppCmd::Commit {
-            txn: self.txn,
-            reply: tx,
-        }));
-        TcpCommitWait {
-            rx,
-            node: self.root,
-        }
-    }
-}
-
-/// An in-flight commit on a [`TcpCluster`].
-pub struct TcpCommitWait {
-    rx: Receiver<CommitResult>,
-    node: NodeId,
-}
-
-impl TcpCommitWait {
-    /// Blocks until the outcome arrives or `timeout` passes.
-    pub fn wait_with(self, timeout: Duration) -> Result<CommitResult> {
-        recv_reply(&self.rx, self.node, timeout)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpc_common::{Outcome, ProtocolKind};
+    use crate::{LiveCluster, LiveNodeConfig};
+    use tpc_common::{Op, Outcome, ProtocolKind};
 
     #[test]
     fn commit_over_real_sockets() {
-        let c = TcpCluster::start(vec![
+        let c = LiveCluster::start_tcp(vec![
             LiveNodeConfig::new(ProtocolKind::PresumedAbort),
             LiveNodeConfig::new(ProtocolKind::PresumedAbort),
             LiveNodeConfig::new(ProtocolKind::PresumedAbort),
@@ -806,7 +440,7 @@ mod tests {
 
     #[test]
     fn several_transactions_over_tcp() {
-        let c = TcpCluster::start(vec![
+        let c = LiveCluster::start_tcp(vec![
             LiveNodeConfig::new(ProtocolKind::PresumedNothing),
             LiveNodeConfig::new(ProtocolKind::PresumedNothing),
         ])
@@ -880,7 +514,7 @@ mod tests {
         let stats = t.stats();
         // Sends are asynchronous now: the report arrives once the sender
         // thread exhausts its retries, so wait on the channel.
-        t.send(NodeId(1), vec![1, 2, 3].into());
+        t.send(NodeId(1), 0, vec![1, 2, 3].into());
         match self_rx.recv_timeout(Duration::from_secs(10)) {
             Ok(Inbound::PartnerDown { peer }) => assert_eq!(peer, NodeId(1)),
             other => panic!(
@@ -891,7 +525,7 @@ mod tests {
         assert!(stats.dropped.load(Ordering::Relaxed) >= 1);
         assert!(t.health().dropped_frames >= 1, "health mirrors the drop");
         // Reported once, not per frame.
-        t.send(NodeId(1), vec![4, 5, 6].into());
+        t.send(NodeId(1), 0, vec![4, 5, 6].into());
         assert!(
             self_rx.recv_timeout(Duration::from_millis(300)).is_err(),
             "no duplicate report"
@@ -903,7 +537,7 @@ mod tests {
         let (tx, rx) = unbounded();
         std::thread::spawn(move || {
             if let Ok((stream, _)) = listener.accept() {
-                reader(stream, tx, BufferPool::new());
+                reader(stream, vec![tx], BufferPool::new());
             }
         });
         rx
@@ -936,7 +570,7 @@ mod tests {
             let body = format!("frame-{i}-{}", "x".repeat(i % 97));
             let mut buf = pool.checkout();
             buf.extend_from_slice(body.as_bytes());
-            t.send(NodeId(0), buf);
+            t.send(NodeId(0), 0, buf);
         }
         for i in 0..N {
             match frames_rx.recv_timeout(Duration::from_secs(10)) {
@@ -1003,7 +637,7 @@ mod tests {
         const SEED: u64 = 0xF00D_CAFE;
         const N: usize = 1500;
         for i in 0..N {
-            t.send(NodeId(0), fuzz_body(SEED, i).into());
+            t.send(NodeId(0), 0, fuzz_body(SEED, i).into());
         }
         for i in 0..N {
             match frames_rx.recv_timeout(Duration::from_secs(10)) {
@@ -1034,6 +668,7 @@ mod tests {
                 let body = fuzz_body(SEED, i);
                 wire.extend_from_slice(&(body.len() as u32).to_le_bytes());
                 wire.extend_from_slice(&9u32.to_le_bytes()); // sender id
+                wire.extend_from_slice(&0u32.to_le_bytes()); // lane
                 wire.extend_from_slice(&body);
             }
             let mut stream = TcpStream::connect(addr).expect("connect");
@@ -1061,5 +696,63 @@ mod tests {
             }
         }
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn frames_reach_the_lane_their_header_names() {
+        // One reader for a four-lane node per connection, run to its end.
+        let four_lane_reader = || {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let (txs, rxs): (Vec<_>, Vec<_>) = (0..4).map(|_| unbounded()).unzip();
+            let done = std::thread::spawn(move || {
+                let (stream, _) = listener.accept().expect("accept");
+                reader(stream, txs, BufferPool::new());
+            });
+            (addr, rxs, done)
+        };
+
+        // A frame the transport addresses to lane 3 lands on lane 3's
+        // inbox and nowhere else.
+        let (addr, rxs, done) = four_lane_reader();
+        let (self_tx, _self_rx) = unbounded();
+        let mut t = TcpTransport::new(
+            NodeId(2),
+            vec![addr],
+            RetryPolicy::default(),
+            self_tx,
+            BufferPool::new(),
+        );
+        t.send(NodeId(0), 3, vec![7, 7, 7].into());
+        match rxs[3].recv_timeout(Duration::from_secs(10)) {
+            Ok(Inbound::Frame { from, bytes }) => {
+                assert_eq!(from, NodeId(2));
+                assert_eq!(*bytes, vec![7, 7, 7]);
+            }
+            other => panic!("lane 3 got nothing, ok={:?}", other.is_ok()),
+        }
+        assert!(
+            rxs[..3].iter().all(|rx| rx.is_empty()),
+            "other lanes stay empty"
+        );
+        // Dropping the transport closes its connection: the reader ends.
+        drop(t);
+        done.join().expect("reader ends without a panic");
+
+        // A frame naming lane 7 drops the connection instead of indexing
+        // past the lane table.
+        let (addr, rxs, done) = four_lane_reader();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&3u32.to_le_bytes()); // len
+        wire.extend_from_slice(&9u32.to_le_bytes()); // sender id
+        wire.extend_from_slice(&7u32.to_le_bytes()); // lane: out of range
+        wire.extend_from_slice(&[1, 2, 3]);
+        stream.write_all(&wire).expect("write");
+        done.join()
+            .expect("an out-of-range lane closes the reader without a panic");
+        let mut buf = [0u8; 1];
+        assert_eq!(stream.read(&mut buf).unwrap_or(0), 0, "connection dropped");
+        assert!(rxs.iter().all(|rx| rx.is_empty()), "no lane got the frame");
     }
 }

@@ -26,7 +26,6 @@ use std::time::Duration;
 
 use tpc_common::{AckMode, NodeId, Op, OptimizationConfig, Outcome, ProtocolKind, SimDuration};
 use tpc_core::Timeouts;
-use tpc_runtime::tcp::TcpCluster;
 use tpc_runtime::{verify, LiveCluster, LiveNodeConfig, StorageFaultPlan};
 
 /// Short protocol timers so retries and in-doubt queries fire quickly.
@@ -437,52 +436,59 @@ fn root_crash_after_deciding_recovers_and_completes_phase_two() {
 fn kill_and_restart_works_over_tcp_too() {
     // The same crash/recovery choreography with frames on real loopback
     // sockets: the victim dies in-doubt (k = 2) and must re-learn the
-    // outcome over TCP after restart.
-    let dir = temp_dir("tcp");
-    let root = NodeId(0);
-    let victim = NodeId(1);
-    let mut c = TcpCluster::start(vec![
-        LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
-            .with_timeouts(chaos_timeouts()),
-        LiveNodeConfig::new(ProtocolKind::PresumedAbort)
-            .with_file_log(&dir)
-            .with_timeouts(chaos_timeouts())
-            .kill_after_frames(2),
-    ])
-    .expect("bind loopback")
-    .with_reply_timeout(Duration::from_secs(20));
+    // outcome over TCP after restart. With four lanes the restart replays
+    // the one shared WAL and repartitions it across the lanes, whose
+    // recovery traffic goes out lane-addressed over the sockets.
+    for lanes in [1, 4] {
+        let dir = temp_dir(&format!("tcp-l{lanes}"));
+        let root = NodeId(0);
+        let victim = NodeId(1);
+        let cfg = || {
+            LiveNodeConfig::new(ProtocolKind::PresumedAbort)
+                .with_file_log(&dir)
+                .with_timeouts(chaos_timeouts())
+                .with_lanes(lanes)
+        };
+        let mut c = LiveCluster::start_tcp(vec![cfg(), cfg().kill_after_frames(2)])
+            .expect("bind loopback")
+            .with_reply_timeout(Duration::from_secs(20));
+        assert_eq!(c.lanes(), lanes, "the lane setting holds over TCP");
+        for node in [root, victim] {
+            c.try_summary(node).expect("every lane answers");
+        }
 
-    let t = c.begin(root);
-    let txn = t.id();
-    t.work(victim, vec![Op::put("tcp-chaos", "v")]);
-    let wait = t.commit_async();
+        let t = c.begin(root);
+        let txn = t.id();
+        t.work(victim, vec![Op::put("tcp-chaos", "v")]);
+        let wait = t.commit_async();
 
-    let s = c
-        .await_death(victim, Duration::from_secs(10))
-        .expect("victim dies after voting");
-    assert!(s.protocol_state.crashed);
-    c.restart(victim).expect("restart over TCP");
+        let s = c
+            .await_death(victim, Duration::from_secs(10))
+            .expect("victim dies after voting");
+        assert!(s.protocol_state.crashed);
+        c.restart(victim).expect("restart over TCP");
 
-    let result = wait
-        .wait_with(Duration::from_secs(20))
-        .expect("root answers");
-    assert_eq!(result.outcome, Outcome::Commit);
-    assert!(c.quiesce(Duration::from_secs(20)), "must quiesce");
-    assert_eq!(
-        c.read_eventually(victim, "tcp-chaos", Duration::from_secs(10)),
-        Some(b"v".to_vec()),
-        "committed write must survive the crash on the TCP harness"
-    );
+        let result = wait.wait(Duration::from_secs(20)).expect("root answers");
+        assert_eq!(result.outcome, Outcome::Commit, "lanes={lanes}");
+        assert!(
+            c.quiesce(Duration::from_secs(20)),
+            "lanes={lanes}: must quiesce"
+        );
+        assert_eq!(
+            c.read_eventually(victim, "tcp-chaos", Duration::from_secs(10)),
+            Some(b"v".to_vec()),
+            "lanes={lanes}: committed write must survive the crash on the TCP harness"
+        );
 
-    let outcomes = vec![verify::outcome_record(txn, root, &result)];
-    let summaries = c.shutdown();
-    let (violations, unresolved) = verify::check(&summaries, &outcomes);
-    assert!(violations.is_empty(), "{violations:?}");
-    assert!(unresolved.is_empty(), "{unresolved:?}");
-    let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
-    assert!(wal.is_empty(), "{wal:?}");
-    let _ = std::fs::remove_dir_all(&dir);
+        let outcomes = vec![verify::outcome_record(txn, root, &result)];
+        let summaries = c.shutdown();
+        let (violations, unresolved) = verify::check(&summaries, &outcomes);
+        assert!(violations.is_empty(), "lanes={lanes}: {violations:?}");
+        assert!(unresolved.is_empty(), "lanes={lanes}: {unresolved:?}");
+        let wal = verify::check_wal_agreement(&dir, 2).expect("scan WALs");
+        assert!(wal.is_empty(), "lanes={lanes}: {wal:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

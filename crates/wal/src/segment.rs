@@ -162,8 +162,9 @@ fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Path of segment `seq` inside `dir` — exposed so fault injection and
-/// the node runtime can point [`FaultyLog::with_path`]
-/// (crate::faults::FaultyLog::with_path) at the first live image file.
+/// the node runtime can point
+/// [`FaultyLog::with_path`](crate::faults::FaultyLog::with_path) at the
+/// first live image file.
 pub fn segment_path(dir: impl AsRef<Path>, seq: u64) -> PathBuf {
     dir.as_ref().join(segment_name(seq))
 }

@@ -15,7 +15,7 @@
 //! subordinate recovers from its WAL and learns the outcome over the
 //! wire. Everything is then read back the way an operator would:
 //!
-//! * an HTTP GET against [`TcpCluster::serve_metrics`] (a real socket
+//! * an HTTP GET against [`LiveCluster::serve_metrics`] (a real socket
 //!   scrape, exactly what `curl` or a Prometheus server sees), showing
 //!   the closed `tpc_in_doubt_seconds` window and the restart's
 //!   `tpc_recovery_*` counters;
@@ -27,7 +27,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use twopc::prelude::*;
-use twopc::runtime::tcp::TcpCluster;
 
 fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut s = TcpStream::connect(addr).expect("connect to metrics endpoint");
@@ -56,7 +55,7 @@ fn main() {
     };
     let root = NodeId(0);
     let victim = NodeId(1);
-    let mut cluster = TcpCluster::start(vec![
+    let mut cluster = LiveCluster::start_tcp(vec![
         cfg(),
         // Frame 1 is the work, frame 2 the Prepare: die right after
         // forcing the Prepared record and voting YES — in doubt.
@@ -83,7 +82,7 @@ fn main() {
         .expect("restart from the durable WAL");
 
     let result = wait
-        .wait_with(Duration::from_secs(10))
+        .wait(Duration::from_secs(10))
         .expect("the coordinator answers");
     assert_eq!(result.outcome, Outcome::Commit);
     assert!(cluster.quiesce(Duration::from_secs(10)));

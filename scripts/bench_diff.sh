@@ -12,10 +12,11 @@
 # (matched on lanes × in-flight × saturation), the failure-path rows
 # (in-doubt p99, recovery duration) and the saturation cell's windowed
 # timeline summary when both files carry them. Exits non-zero on
-# malformed input or schema drift (a row missing its required fields, or
-# the timeline section disappearing after it existed), never on a slow
-# result — CI runs it as a schema gate, the deltas themselves are
-# warn-only.
+# malformed input, schema drift (a row missing its required fields, or
+# the timeline section disappearing after it existed) or a NEW row whose
+# configuration was not live (group commit on, yet no batching), never
+# on a slow result — CI runs it as a schema and liveness gate, the
+# deltas themselves are warn-only.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -33,7 +34,9 @@ def key(r):
     return (
         r["protocol"],
         r["transport"],
-        r.get("wal_backend", r["log"]),
+        # `or`, not a .get default: the default is evaluated eagerly and
+        # would raise KeyError on rows that no longer carry "log".
+        r.get("wal_backend") or r["log"],
         r["group_commit"],
         r.get("optimizations", "baseline"),
     )
@@ -45,6 +48,23 @@ def pct(a, b):
 
 old_rows = {key(r): r for r in old.get("results", [])}
 new_rows = {key(r): r for r in new.get("results", [])}
+
+# Liveness gate, NEW file only (old baselines may predate the fix): a
+# row claiming group commit must show batching — some group flushes, and
+# fewer physical flushes than forces.
+dead = [
+    r for r in new.get("results", [])
+    if r["group_commit"] and r["log_forces"] > 0
+    and not (r["group_flushes"] > 0 and r["physical_flushes"] < r["log_forces"])
+]
+for r in dead:
+    print(
+        f"{new_path}: group commit not live in {r['protocol']}/{r['transport']}/"
+        f"{key(r)[2]}: group_flushes={r['group_flushes']} "
+        f"physical_flushes={r['physical_flushes']} log_forces={r['log_forces']}",
+        file=sys.stderr,
+    )
+assert not dead, f"{new_path}: {len(dead)} gc-on row(s) ran without group commit"
 
 print(f"throughput: {old_path} -> {new_path}")
 hdr = f"{'config':<46} {'txn/s old':>10} {'txn/s new':>10} {'Δ':>7}  {'p99 old':>8} {'p99 new':>8} {'Δ':>7}"

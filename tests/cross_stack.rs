@@ -90,9 +90,20 @@ fn sim_costs_n(protocol: ProtocolKind, txns: usize) -> Vec<(u64, u64, u64)> {
 }
 
 /// The same workload against a live cluster whose nodes each run `lanes`
-/// coordinator lanes over one shared WAL and RM.
-fn live_costs_lanes(protocol: ProtocolKind, txns: usize, lanes: usize) -> Vec<(u64, u64, u64)> {
-    let cluster = LiveCluster::start(vec![LiveNodeConfig::new(protocol).with_lanes(lanes); 3]);
+/// coordinator lanes over one shared WAL and RM, with frames on
+/// in-process channels or (`tcp`) on loopback sockets.
+fn live_costs_lanes(
+    protocol: ProtocolKind,
+    txns: usize,
+    lanes: usize,
+    tcp: bool,
+) -> Vec<(u64, u64, u64)> {
+    let configs = vec![LiveNodeConfig::new(protocol).with_lanes(lanes); 3];
+    let cluster = if tcp {
+        LiveCluster::start_tcp(configs).expect("bind loopback")
+    } else {
+        LiveCluster::start(configs)
+    };
     for i in 0..txns {
         let txn = cluster.begin(NodeId(0));
         txn.work(NodeId(0), vec![Op::put(&format!("eq{i}/n0"), "x")]);
@@ -118,20 +129,24 @@ fn live_costs_lanes(protocol: ProtocolKind, txns: usize, lanes: usize) -> Vec<(u
 #[test]
 fn multi_lane_cluster_matches_sim_protocol_costs() {
     // Sharding the txn space across four lanes is a concurrency
-    // structure, not a protocol change: per-node log-write, forced-write
-    // and message-flow totals must be exactly the single-engine sim's.
-    // Eight sequential txns cover every lane (seq % 4) twice.
-    for protocol in [
-        ProtocolKind::Basic,
-        ProtocolKind::PresumedAbort,
-        ProtocolKind::PresumedNothing,
-    ] {
-        let sim = sim_costs_n(protocol, 8);
-        let live = live_costs_lanes(protocol, 8, 4);
-        assert_eq!(
-            sim, live,
-            "{protocol}: 4-lane live costs must match the sim (tm_writes, tm_forced, flows)"
-        );
+    // structure, not a protocol change, and the transport only carries
+    // frames: per-node log-write, forced-write and message-flow totals
+    // must be exactly the single-engine sim's over channels and over
+    // TCP alike. Eight sequential txns cover every lane (seq % 4) twice.
+    for tcp in [false, true] {
+        for protocol in [
+            ProtocolKind::Basic,
+            ProtocolKind::PresumedAbort,
+            ProtocolKind::PresumedNothing,
+        ] {
+            let sim = sim_costs_n(protocol, 8);
+            let live = live_costs_lanes(protocol, 8, 4, tcp);
+            assert_eq!(
+                sim, live,
+                "{protocol} (tcp={tcp}): 4-lane live costs must match the sim \
+                 (tm_writes, tm_forced, flows)"
+            );
+        }
     }
 }
 
